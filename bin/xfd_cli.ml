@@ -26,34 +26,28 @@ let workload_names =
     (fun e -> String.lowercase_ascii e.Xfd_experiments.Workload_set.name)
     Xfd_experiments.Workload_set.extended
 
-(* Live progress bar for the post-failure stage.  The engine may invoke
-   the callback from whichever worker domain finished a run, so renders
-   are serialized with a mutex and throttled; the final report always
-   renders and ends the line. *)
+(* Live progress bar for the post-failure stage.  Renders are throttled;
+   the final report always renders and ends the line. *)
 let progress_renderer () =
-  let mu = Mutex.create () in
   let t0 = Unix.gettimeofday () in
   let last = ref 0.0 in
   fun (p : Xfd.Engine.progress) ->
-    Mutex.protect mu (fun () ->
-        let now = Unix.gettimeofday () in
-        let final = p.completed >= p.total in
-        if final || now -. !last >= 0.05 then begin
-          last := now;
-          let elapsed = now -. t0 in
-          let rate = if elapsed > 0.0 then float_of_int p.completed /. elapsed else 0.0 in
-          let eta =
-            if rate > 0.0 then float_of_int (p.total - p.completed) /. rate else 0.0
-          in
-          let width = 24 in
-          let filled =
-            if p.total <= 0 then width else min width (width * p.completed / p.total)
-          in
-          let bar = String.make filled '#' ^ String.make (width - filled) '-' in
-          Printf.eprintf "\r[%s] %d/%d failure points  %4.0f fp/s  ETA %4.1fs%!" bar
-            p.completed p.total rate eta;
-          if final then prerr_newline ()
-        end)
+    let now = Unix.gettimeofday () in
+    let final = p.completed >= p.total in
+    if final || now -. !last >= 0.05 then begin
+      last := now;
+      let elapsed = now -. t0 in
+      let rate = if elapsed > 0.0 then float_of_int p.completed /. elapsed else 0.0 in
+      let eta = if rate > 0.0 then float_of_int (p.total - p.completed) /. rate else 0.0 in
+      let width = 24 in
+      let filled =
+        if p.total <= 0 then width else min width (width * p.completed / p.total)
+      in
+      let bar = String.make filled '#' ^ String.make (width - filled) '-' in
+      Printf.eprintf "\r[%s] %d/%d failure points  %4.0f fp/s  ETA %4.1fs%!" bar
+        p.completed p.total rate eta;
+      if final then prerr_newline ()
+    end
 
 (* ---- pulse: live exposition, time-series recording, dashboard ----
 
@@ -294,15 +288,6 @@ let run_cmd =
             "With $(b,--fail-on-bug), do not fail on performance bugs alone (races, \
              semantic bugs and post-failure errors still fail).")
   in
-  let lint_guided =
-    Arg.(
-      value & flag
-      & info [ "lint-guided" ]
-          ~doc:
-            "Lint the pre-failure trace first and post-execute statically suspicious \
-             failure points before clean ones.  Scheduling only: the verdict set is \
-             identical to the default order.")
-  in
   let trace_out =
     Arg.(
       value
@@ -310,9 +295,8 @@ let run_cmd =
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
             "Export the run's span tree as Chrome trace-event JSON to $(docv) — open it \
-             in ui.perfetto.dev or chrome://tracing.  One track per domain, so with \
-             $(b,post_jobs > 1) the parallel post-failure stage shows as overlapping \
-             post_run slices.")
+             in ui.perfetto.dev or chrome://tracing.  Each failure point shows as one \
+             post_exec, pre_replay and post_replay slice, in trace order.")
   in
   let progress =
     Arg.(
@@ -331,11 +315,11 @@ let run_cmd =
           ~doc:
             "Write the flight-recorder run log as JSONL to $(docv): lifecycle events \
              (run.begin, fp.scheduled/started/verdict, snapshot.recorded/dropped, \
-             worker.join, run.end) with per-run id and sampled GC gauges.  Enables \
+             run.abort, run.end) with per-run id and sampled GC gauges.  Enables \
              debug-level recording for this run.")
   in
   let action workload init test patch naive untrusted oracle quiet json metrics_out
-      quiet_metrics report_out explain fail_on_bug allow_perf lint_guided trace_out progress
+      quiet_metrics report_out explain fail_on_bug allow_perf trace_out progress
       flight_out pulse_opts =
     let entry = Xfd_experiments.Workload_set.find workload in
     let faults = match patch with Some s -> parse_patch s | None -> Xfd_sim.Faults.none in
@@ -359,14 +343,7 @@ let run_cmd =
       merge_progress
         [ (if progress then Some (progress_renderer ()) else None); pulse_progress ]
     in
-    let outcome =
-      if lint_guided then begin
-        let lint, outcome = Xfd_lint.Lint.detect_guided ~config ?on_progress program in
-        if not (quiet || json) then Format.printf "%a@." Xfd_lint.Lint.pp_report lint;
-        outcome
-      end
-      else Xfd.Engine.detect ~config ?on_progress program
-    in
+    let outcome = Xfd.Engine.detect ~config ?on_progress program in
     Option.iter
       (fun file ->
         Xfd_flight.Perfetto.to_file ~process_name:outcome.Xfd.Engine.program file
@@ -409,10 +386,9 @@ let run_cmd =
               ("report", Xfd.Engine.outcome_to_json outcome);
             ]
         in
-        let oc = open_out file in
-        output_string oc (Xfd_util.Json.to_string_pretty report);
-        output_char oc '\n';
-        close_out oc;
+        Xfd_util.Atomic_file.write file (fun oc ->
+            output_string oc (Xfd_util.Json.to_string_pretty report);
+            output_char oc '\n');
         Format.eprintf "report written to %s@." file)
       report_out;
     if not quiet_metrics then Format.eprintf "%a" Xfd_obs.Obs.pp_summary ();
@@ -426,7 +402,7 @@ let run_cmd =
     Term.(
       const action $ workload $ init $ test $ patch $ naive $ untrusted $ oracle $ quiet
       $ json $ metrics_out $ quiet_metrics $ report_out $ explain $ fail_on_bug $ allow_perf
-      $ lint_guided $ trace_out $ progress $ flight_out $ pulse_term)
+      $ trace_out $ progress $ flight_out $ pulse_term)
 
 let list_cmd =
   let action () =
@@ -631,11 +607,10 @@ let lint_cmd =
     Option.iter
       (fun file ->
         let t = Option.get tri in
-        let oc = open_out file in
-        output_string oc
-          (Xfd_util.Json.to_string_pretty (Xfd_lint.Lint.triage_to_json t));
-        output_char oc '\n';
-        close_out oc;
+        Xfd_util.Atomic_file.write file (fun oc ->
+            output_string oc
+              (Xfd_util.Json.to_string_pretty (Xfd_lint.Lint.triage_to_json t));
+            output_char oc '\n');
         Format.eprintf "triage written to %s@." file)
       triage_out;
     let fired =
@@ -977,10 +952,9 @@ let serve_cmd =
       bound workers;
     Option.iter
       (fun file ->
-        let oc = open_out file in
-        output_string oc (string_of_int bound);
-        output_char oc '\n';
-        close_out oc)
+        Xfd_util.Atomic_file.write file (fun oc ->
+            output_string oc (string_of_int bound);
+            output_char oc '\n'))
       port_file;
     let stop_requested = Atomic.make false in
     let on_signal _ = Atomic.set stop_requested true in
@@ -1009,9 +983,7 @@ let jstr_of key j =
 let fetch_report ~host ~port ~id file =
   match Xfd_pulse.Httpc.get ~host ~port ("/v1/jobs/" ^ id ^ "/report") with
   | Ok (200, body) ->
-    let oc = open_out file in
-    output_string oc body;
-    close_out oc;
+    Xfd_util.Atomic_file.write file (fun oc -> output_string oc body);
     Format.eprintf "report written to %s@." file;
     true
   | Ok (status, _) ->

@@ -21,10 +21,7 @@ let load_trace path =
   close_in ic;
   t
 
-let save_trace t path =
-  let oc = open_out path in
-  Xfd_trace.Trace.save t oc;
-  close_out oc
+let save_trace t path = Xfd_util.Atomic_file.write path (Xfd_trace.Trace.save t)
 
 let record_cmd =
   let workload =

@@ -16,12 +16,6 @@ type t = {
           architectural byte (the paper's footnote 3; the shadow PM decides
           what was persisted), [`Strict] drops non-persisted bytes (useful
           for cross-validation in tests) *)
-  post_jobs : int;
-      (** number of domains running post-failure executions concurrently —
-          the paper's "the post-failure executions are independent as they
-          operate on a copy of the original PM image, and therefore, can be
-          parallelized.  We leave the parallelized detection as a future
-          work"; 1 = fully sequential *)
   forensics : bool;
       (** record per-byte provenance history during replay and attach a
           provenance chain plus trace-timeline excerpts to every reported
@@ -46,6 +40,6 @@ val default : t
 
 (** Reject configurations the engine cannot honour meaningfully.  Raises
     [Invalid_argument] when [max_failure_points <= 0] (which would silently
-    elide every failure point and report nothing) or [post_jobs <= 0].
+    elide every failure point and report nothing).
     {!Xfd.Engine.detect} validates its configuration on entry. *)
 val validate : t -> unit

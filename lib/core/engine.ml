@@ -66,7 +66,6 @@ let sp_detect = "detect"
 let sp_pre_exec = "pre_exec"
 let sp_snapshot = "snapshot"
 let sp_post_exec = "post_exec"
-let sp_post_run = "post_run"
 let sp_pre_replay = "pre_replay"
 let sp_post_replay = "post_replay"
 
@@ -90,8 +89,7 @@ let timings_of_spans spans =
 
 (* Exceptions that indicate a broken harness or an exhausted runtime rather
    than a finding about the program under test: these abort detection and
-   propagate (from worker domains too, via the capture-and-rejoin path)
-   instead of being recorded as [Post_failure_error]. *)
+   propagate instead of being recorded as [Post_failure_error]. *)
 let fatal = function
   | Assert_failure _ | Out_of_memory | Stack_overflow -> true
   | _ -> false
@@ -115,7 +113,7 @@ let run_post ~config ~dev ~post =
    ordinal [k] is snapshotted and post-executed — the single-failure-point
    oracle entry behind [detect_at], used by the fuzzer's shrinker and corpus
    replay to re-check one verdict cheaply. *)
-let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
+let detect_gen ?only ?on_progress ?(config = Config.default) program =
   Config.validate config;
   Obs.Counter.incr c_runs;
   Xfd_mem.Image.reset_peak ();
@@ -123,9 +121,7 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
   let mark = Obs.Span.mark () in
   let cov_mark = Xfd_forensics.Coverage.mark () in
   (* Progress is observation-only: the callback sees counts, never state,
-     and anything it raises is swallowed — it cannot perturb detection.
-     With [post_jobs > 1] it is invoked from whichever worker domain
-     finished the run, so callers must be domain-safe. *)
+     and anything it raises is swallowed — it cannot perturb detection. *)
   let notify_progress completed total =
     match on_progress with
     | None -> ()
@@ -134,42 +130,24 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
   (* Cleanup registry: every resource the pipeline owns (devices, snapshot
      deltas, detector shadow pages) is registered here and disposed exactly
      once — on the normal path at its usual point, or by [dispose_all] when
-     the run aborts.  Worker domains release through the same registry, so
-     the mutex also orders racing disposals. *)
-  let cleanup_mu = Mutex.create () in
+     the run aborts. *)
   let cleanups : (int, unit -> unit) Hashtbl.t = Hashtbl.create 32 in
   let cleanup_next = ref 0 in
-  let locked f =
-    Mutex.lock cleanup_mu;
-    let r = try f () with e -> Mutex.unlock cleanup_mu; raise e in
-    Mutex.unlock cleanup_mu;
-    r
-  in
   let track release =
-    locked (fun () ->
-        incr cleanup_next;
-        let id = !cleanup_next in
-        Hashtbl.replace cleanups id release;
-        id)
+    incr cleanup_next;
+    Hashtbl.replace cleanups !cleanup_next release;
+    !cleanup_next
   in
   let dispose id =
-    match
-      locked (fun () ->
-          match Hashtbl.find_opt cleanups id with
-          | Some f ->
-            Hashtbl.remove cleanups id;
-            Some f
-          | None -> None)
-    with
-    | Some f -> f ()
+    match Hashtbl.find_opt cleanups id with
+    | Some f ->
+      Hashtbl.remove cleanups id;
+      f ()
     | None -> ()
   in
   let dispose_all () =
-    let fs = locked (fun () ->
-        let fs = Hashtbl.fold (fun _ f acc -> f :: acc) cleanups [] in
-        Hashtbl.reset cleanups;
-        fs)
-    in
+    let fs = Hashtbl.fold (fun _ f acc -> f :: acc) cleanups [] in
+    Hashtbl.reset cleanups;
     List.iter (fun f -> try f () with _ -> ()) fs
   in
   let reports, unique_bugs, n_failure_points, pre_events, post_events =
@@ -255,102 +233,6 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
         let crash_mode =
           match config.Config.crash_mode with `Full -> Device.Full | `Strict -> Device.Strict
         in
-        (* One post-failure execution per failure point.  The executions are
-           independent (each runs on its own copy of the PM image), so with
-           post_jobs > 1 they run on a small domain pool — the parallelisation
-           the paper leaves as future work.  Trace replay and checking stay
-           sequential: the backend's shadow forks off the incrementally-advanced
-           pre-failure state. *)
-        let run_one s =
-          Flight.record ~level:Flight.Debug "fp.started"
-            [ ("failure_point", Xfd_util.Json.Int s.index) ];
-          Obs.Span.with_ ~name:sp_post_run
-            ~meta:[ ("failure_point", Xfd_util.Json.Int s.index) ]
-            (fun () ->
-              (* Materialise this failure point's private crash image here,
-                 in the (possibly worker-domain) post run: shared chunks are
-                 immutable, so concurrent materialisation is race-free, and
-                 the snapshot's delta is dropped as soon as it has been
-                 consumed — peak memory stays O(live deltas). *)
-              let crash_img = Device.crash s.dev crash_mode in
-              let post_dev = Device.boot crash_img in
-              Xfd_mem.Image.release crash_img;
-              dispose s.dev_id;
-              let post_id = track (fun () -> Device.release post_dev) in
-              (* A fatal post-failure exception propagates out of the
-                 worker; the registry still frees this run's device. *)
-              Fun.protect
-                ~finally:(fun () -> dispose post_id)
-                (fun () -> run_post ~config ~dev:post_dev ~post:program.post))
-        in
-        let post_runs =
-          Obs.Span.with_ ~name:sp_post_exec (fun () ->
-              let n = List.length snapshots in
-              let jobs = max 1 (min config.Config.post_jobs n) in
-              let progress_done = Atomic.make 0 in
-              let run_one s =
-                let r = run_one s in
-                notify_progress (1 + Atomic.fetch_and_add progress_done 1) n;
-                r
-              in
-              notify_progress 0 n;
-              (* Execution order of the post-failure runs.  The runs are
-                 independent (each on its own image copy) and results are
-                 re-associated with their snapshot by slot below, while
-                 replay stays in trace order — so a [priority] hook reorders
-                 work (highest score first, ties keep failure-point order)
-                 without being able to change the verdict set.  A hook that
-                 raises or returns the wrong arity is ignored. *)
-              let perm =
-                let identity = Array.init n (fun i -> i) in
-                match priority with
-                | None -> identity
-                | Some f -> (
-                  match f (List.map (fun s -> (s.index, s.trace_pos)) snapshots) with
-                  | exception _ -> identity
-                  | scores when List.length scores = n ->
-                    let scores = Array.of_list scores in
-                    let order = Array.init n (fun i -> i) in
-                    Array.stable_sort (fun a b -> compare scores.(b) scores.(a)) order;
-                    order
-                  | _ -> identity)
-              in
-              if jobs = 1 && Option.is_none priority then List.map run_one snapshots
-              else begin
-                let input = Array.of_list snapshots in
-                let output = Array.make n None in
-                let next = Atomic.make 0 in
-                (* Workers never die mid-queue: each item's exception is
-                   captured in its slot and the first one (in failure-point
-                   order) re-raised after every domain has joined. *)
-                let worker () =
-                  let rec go () =
-                    let k = Atomic.fetch_and_add next 1 in
-                    if k < n then begin
-                      let i = perm.(k) in
-                      output.(i) <-
-                        Some
-                          (try Ok (run_one input.(i))
-                           with e -> Error (e, Printexc.get_raw_backtrace ()));
-                      go ()
-                    end
-                  in
-                  go ()
-                in
-                let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-                worker ();
-                List.iter Domain.join domains;
-                Flight.record ~level:Flight.Debug "worker.join"
-                  [ ("jobs", Xfd_util.Json.Int jobs); ("runs", Xfd_util.Json.Int n) ];
-                Array.iter
-                  (function
-                    | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-                    | Some (Ok _) | None -> ())
-                  output;
-                Array.to_list output
-                |> List.map (function Some (Ok r) -> r | Some (Error _) | None -> assert false)
-              end)
-        in
         (* The prefix-sharing scheduler.  `Incremental advances the single
            canonical shadow to each failure point's arena index — O(delta)
            per point — and forks a journaled divergence for the post
@@ -374,39 +256,59 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
                 Detector.replay det trace ~from:0 ~upto:s.trace_pos);
             (det, Some cleanup)
         in
+        (* One failure point at a time, in trace order: materialise its
+           private crash image, boot it, run the post-failure stage, replay
+           both traces and record the verdict — then drop the post trace, so
+           at most one is live.  The snapshot's delta is released as soon as
+           the crash image exists, keeping peak memory O(live deltas). *)
+        let judge s =
+          let fp_meta = [ ("failure_point", Xfd_util.Json.Int s.index) ] in
+          Flight.record ~level:Flight.Debug "fp.started" fp_meta;
+          let post_trace, post_exn =
+            Obs.Span.with_ ~name:sp_post_exec ~meta:fp_meta (fun () ->
+                let crash_img = Device.crash s.dev crash_mode in
+                let post_dev = Device.boot crash_img in
+                Xfd_mem.Image.release crash_img;
+                dispose s.dev_id;
+                let post_id = track (fun () -> Device.release post_dev) in
+                Fun.protect
+                  ~finally:(fun () -> dispose post_id)
+                  (fun () -> run_post ~config ~dev:post_dev ~post:program.post))
+          in
+          let det, det_cleanup = pre_replay_for s in
+          post_events := !post_events + Trace.length post_trace;
+          Obs.Histogram.observe h_post_events (Trace.length post_trace);
+          let fork_bugs =
+            Obs.Span.with_ ~name:sp_post_replay ~meta:fp_meta (fun () ->
+                let fork = Detector.fork_for_post det in
+                Detector.replay fork post_trace ~from:0 ~upto:(Trace.length post_trace);
+                let bugs = Detector.bugs fork in
+                Detector.rewind fork;
+                bugs)
+          in
+          Option.iter dispose det_cleanup;
+          let bugs =
+            fork_bugs
+            @
+            match post_exn with
+            | Some exn ->
+              Obs.Counter.incr c_bug_post_error;
+              [ Report.Post_failure_error { exn; failure_point = s.index } ]
+            | None -> []
+          in
+          Flight.record ~level:Flight.Info "fp.verdict"
+            (fp_meta @ [ ("bugs", Xfd_util.Json.Int (List.length bugs)) ]);
+          { Report.failure_point = s.index; trace_pos = s.trace_pos; bugs }
+        in
+        let n = List.length snapshots in
+        notify_progress 0 n;
         let reports =
-          List.map2
-            (fun s (post_trace, post_exn) ->
-              let fp_meta = [ ("failure_point", Xfd_util.Json.Int s.index) ] in
-              let det, det_cleanup = pre_replay_for s in
-              post_events := !post_events + Trace.length post_trace;
-              Obs.Histogram.observe h_post_events (Trace.length post_trace);
-              let fork_bugs =
-                Obs.Span.with_ ~name:sp_post_replay ~meta:fp_meta (fun () ->
-                    let fork = Detector.fork_for_post det in
-                    Detector.replay fork post_trace ~from:0
-                      ~upto:(Trace.length post_trace);
-                    let bugs = Detector.bugs fork in
-                    Detector.rewind fork;
-                    bugs)
-              in
-              Option.iter dispose det_cleanup;
-              let bugs =
-                fork_bugs
-                @
-                match post_exn with
-                | Some exn ->
-                  Obs.Counter.incr c_bug_post_error;
-                  [ Report.Post_failure_error { exn; failure_point = s.index } ]
-                | None -> []
-              in
-              Flight.record ~level:Flight.Info "fp.verdict"
-                [
-                  ("failure_point", Xfd_util.Json.Int s.index);
-                  ("bugs", Xfd_util.Json.Int (List.length bugs));
-                ];
-              { Report.failure_point = s.index; trace_pos = s.trace_pos; bugs })
-            snapshots post_runs
+          List.mapi
+            (fun i s ->
+              let r = judge s in
+              notify_progress (i + 1) n;
+              r)
+            snapshots
         in
         (* Pre-failure bugs (performance findings fire during pre replay):
            finish the canonical prefix, or rebuild it whole in oracle
@@ -447,7 +349,7 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       (* Every still-registered resource — the live device, unconsumed
-         snapshot deltas, worker post-devices, detector shadow pages — is
+         snapshot deltas, the current post-device, detector shadow pages — is
          released before the abort propagates, so an aborted run leaks no
          chunk or page bytes. *)
       dispose_all ();
@@ -477,8 +379,7 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
     coverage = Xfd_forensics.Coverage.since cov_mark;
   }
 
-let detect ?config ?priority ?on_progress program =
-  detect_gen ?config ?priority ?on_progress program
+let detect ?config ?on_progress program = detect_gen ?config ?on_progress program
 
 let detect_at ?config ~failure_point program =
   detect_gen ~only:failure_point ?config program

@@ -3,9 +3,12 @@
     [detect] runs the pre-failure program once under tracing, snapshotting
     the device at every failure point the context fires (before each
     ordering point inside the RoI, eliding points with no PM update since
-    the previous one — section 5.4 optimisation 2).  For every snapshot it
-    boots a copy of the PM image, runs the post-failure program on it under
-    tracing, and replays both traces through the backend.  Results carry the
+    the previous one — section 5.4 optimisation 2).  Then, one failure
+    point at a time in trace order, it boots a copy of the snapshot's PM
+    image, runs the post-failure program on it under tracing, replays both
+    traces through the backend and records the verdict before moving on to
+    the next point — so at most one post-failure trace is live.  Results
+    carry the
     per-failure-point reports, the deduplicated bug list and the timing
     breakdown used by the Figure 12/13 experiments. *)
 
@@ -23,14 +26,14 @@ type program = {
 }
 
 (** Live progress through the post-failure stage: [completed] of [total]
-    failure points post-executed so far.  Reported once with
-    [completed = 0] when the stage starts, then after every completed
-    post run. *)
+    failure points judged so far.  Reported once with [completed = 0] when
+    the stage starts, then after every failure point's verdict. *)
 type progress = { completed : int; total : int }
 
 type timings = {
   pre_exec : float;  (** pre-failure execution + tracing *)
-  post_exec : float;  (** all post-failure executions + tracing *)
+  post_exec : float;  (** all post-failure executions + tracing, including
+                          crash-image materialisation and boot *)
   pre_replay : float;  (** backend replay of the pre-failure trace *)
   post_replay : float;  (** backend replay of all post-failure traces *)
   snapshotting : float;  (** PM-image copies at failure points *)
@@ -46,10 +49,10 @@ type outcome = {
   timings : timings;  (** derived from [spans] via {!timings_of_spans} *)
   spans : Xfd_obs.Obs.Span.record list;
       (** this run's span tree: a root ["detect"] span with ["pre_exec"],
-          ["post_exec"], ["pre_replay"], ["post_replay"] phases,
-          ["snapshot"] children inside [pre_exec], and per-failure-point
-          ["post_run"]/replay children carrying a [failure_point] meta
-          field *)
+          ["pre_exec"] phase (with ["snapshot"] children), then one
+          ["post_exec"], ["pre_replay"] and ["post_replay"] span per
+          failure point, each carrying a [failure_point] meta field, and a
+          final ["pre_replay"] over the rest of the pre-failure trace *)
   coverage : Xfd_forensics.Coverage.t;
       (** what this run exercised: failure points fired vs elided, RoI
           ordering points, bytes read-checked vs bytes written, per-class
@@ -59,34 +62,17 @@ type outcome = {
 (** Exceptions escaping the post-failure program are recorded as
     [Post_failure_error] findings — except fatal runtime conditions
     ([Assert_failure], [Out_of_memory], [Stack_overflow]), which indicate a
-    broken harness rather than a PM bug: those abort detection and re-raise
-    the original exception, including out of worker domains when
-    [config.post_jobs > 1] (workers capture per-item exceptions and the
-    first, in failure-point order, is re-raised after every domain has
-    joined). *)
-val detect :
-  ?config:Config.t ->
-  ?priority:((int * int) list -> int list) ->
-  ?on_progress:(progress -> unit) ->
-  program ->
-  outcome
+    broken harness rather than a PM bug: those abort detection before any
+    later failure point starts, release every device, snapshot delta and
+    shadow page the run still holds, and re-raise the original
+    exception. *)
+val detect : ?config:Config.t -> ?on_progress:(progress -> unit) -> program -> outcome
 
 (** When [on_progress] is given, it is invoked with live {!progress}
-    counts as post-failure runs complete.  Observation-only and
-    verdict-neutral: the callback sees counts, never detection state, and
-    anything it raises is swallowed.  With [config.post_jobs > 1] it runs
-    on whichever worker domain finished the run, so it must be
-    domain-safe (the CLI's renderer serializes with a mutex). *)
-
-(** When [priority] is given, it receives the fired failure points as
-    [(ordinal, trace position)] pairs in trace order and returns one score
-    per point; post-failure executions then run highest-score first (ties
-    keep failure-point order).  Scheduling only: every point still runs,
-    replay stays in trace order, reports keep failure-point order — the
-    outcome is identical to the default order (the post-failure runs are
-    independent, each on its own image copy).  A hook that raises or
-    returns a list of the wrong length is ignored.  {!Xfd_lint} uses this
-    to post-execute statically suspicious windows first. *)
+    counts as failure points are judged, in order and on the caller's
+    domain.  Observation-only and verdict-neutral: the callback sees
+    counts, never detection state, and anything it raises is
+    swallowed. *)
 
 (** [detect_at ~failure_point program] is the single-failure-point oracle
     entry: the pipeline runs exactly as {!detect} — failure points are

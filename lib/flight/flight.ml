@@ -55,9 +55,9 @@ let default_capacity = 8192
 (* ---- the ring ----
 
    Same bounded-ring discipline as the span buffer: newest [capacity]
-   events retained, oldest dropped and counted.  Events arrive from the
-   main domain and the engine's worker domains, so the ring is
-   mutex-protected. *)
+   events retained, oldest dropped and counted.  Events arrive from every
+   thread running a detection (xfd_serve runs jobs on system threads), so
+   the ring is mutex-protected. *)
 
 let mutex = Mutex.create ()
 let buf : event option array ref = ref (Array.make default_capacity None)
@@ -192,13 +192,12 @@ let end_run fields = record ~level:Info "run.end" fields
 
 let write_jsonl path =
   let evs = events () in
-  let oc = open_out path in
-  List.iter
-    (fun e ->
-      output_string oc (Json.to_string (event_to_json e));
-      output_char oc '\n')
-    evs;
-  close_out oc;
+  Xfd_util.Atomic_file.write path (fun oc ->
+      List.iter
+        (fun e ->
+          output_string oc (Json.to_string (event_to_json e));
+          output_char oc '\n')
+        evs);
   List.length evs
 
 let pp_event ppf e =

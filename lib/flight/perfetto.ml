@@ -4,9 +4,9 @@
    chrome://tracing both load: one object per span with "ph":"X"
    (complete event), microsecond timestamps relative to the earliest
    span, and pid/tid lanes.  Spans carry the id of the domain they ran
-   on, so each domain-pool worker of the engine's post-failure stage
-   gets its own track — the parallel section of a run is visible as
-   overlapping post_run slices on separate rows. *)
+   on, which becomes the track.  A detection runs on one domain, so each
+   failure point reads left to right as its post_exec, pre_replay and
+   post_replay slices. *)
 
 module Json = Xfd_util.Json
 module Obs = Xfd_obs.Obs
@@ -78,10 +78,9 @@ let of_spans ?process_name (spans : Obs.Span.record list) =
   trace_json ?process_name slices (List.map (fun (r : Obs.Span.record) -> r.Obs.Span.tid) spans)
 
 let write path json =
-  let oc = open_out path in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc
+  Xfd_util.Atomic_file.write path (fun oc ->
+      output_string oc (Json.to_string json);
+      output_char oc '\n')
 
 let to_file ?process_name path spans = write path (of_spans ?process_name spans)
 

@@ -3,9 +3,9 @@
     Produces the JSON trace-event format that {{:https://ui.perfetto.dev}
     Perfetto} and chrome://tracing load: one ["ph":"X"] complete event
     per span, microsecond timestamps relative to the earliest span, and
-    one named track per domain ([tid]) — so the engine's domain-pool
-    workers appear as separate rows with their [post_run] slices
-    overlapping in the parallel section of a run. *)
+    one named track per domain ([tid]).  A detection runs on one domain,
+    so each failure point shows as consecutive [post_exec], [pre_replay]
+    and [post_replay] slices on a single row. *)
 
 (** The whole trace as one JSON value
     [{"traceEvents":[...],"displayTimeUnit":"ms"}], including

@@ -12,9 +12,7 @@ let save ~dir ~keys p =
   let body = contents p keys in
   let name = Printf.sprintf "fuzz-%s.xfdprog" (Digest.to_hex (Digest.string body)) in
   let path = Filename.concat dir name in
-  let oc = open_out path in
-  output_string oc body;
-  close_out oc;
+  Xfd_util.Atomic_file.write path (fun oc -> output_string oc body);
   path
 
 let load path =

@@ -14,8 +14,6 @@
     - {b Metamorphic M2}: swapping two adjacent independent ops (stores,
       flushes, reads, TX adds on disjoint cache lines, no fence between)
       preserves the exact key set.
-    - {b Metamorphic M3}: replaying under [post_jobs = 3] yields the same
-      keys as the sequential run (checked on a rotating subset).
     - {b Metamorphic M4}: a [Correct]-profile program must be
       {!Xfd_lint.Lint}-clean — the static analyzer never indicts a
       well-formed persistence protocol.
@@ -37,9 +35,8 @@
     Programs with a dynamically-confirmed race that no lint finding
     anticipates (per {!Xfd_lint.Lint.triage_of}) are counted in
     [lint_misses] and the first few distinct ones are shrunk into the
-    corpus too.  Such misses are by design — they are the evidence behind
-    lint-guided {e prioritization} (never pruning) of failure points — so
-    they do not fail the run. *)
+    corpus too.  Such misses are by design — they are why lint findings
+    never prune failure points — so they do not fail the run. *)
 
 type cfg = {
   seed : int;

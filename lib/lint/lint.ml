@@ -503,25 +503,6 @@ let triage ?config p =
   let outcome = Engine.detect ?config p in
   triage_of ~program:p.Engine.name report outcome
 
-(* Score of a failure point = findings whose firing event the point's image
-   already contains but the previous point's did not (end-of-trace findings
-   charge the last point, whose image is the most complete). *)
-let priority_of report fps =
-  let idxs = List.filter_map (fun f -> f.index) report.findings in
-  let n_end = List.length (List.filter (fun f -> Option.is_none f.index) report.findings) in
-  let window prev pos = List.length (List.filter (fun i -> i >= prev && i < pos) idxs) in
-  let rec score prev = function
-    | [] -> []
-    | [ (_, pos) ] -> [ window prev pos + n_end ]
-    | (_, pos) :: rest -> window prev pos :: score pos rest
-  in
-  score 0 fps
-
-let detect_guided ?config ?on_progress p =
-  let report = check_prog ?config p in
-  let outcome = Engine.detect ?config ?on_progress ~priority:(priority_of report) p in
-  (report, outcome)
-
 let severity_string = function Error -> "error" | Warning -> "warning" | Perf -> "perf"
 
 let pp_finding ppf f =

@@ -14,9 +14,9 @@
     The linter is deliberately {e unsound as a filter} — a clean lint does
     not prove the absence of cross-failure bugs (a fence skipped between two
     later-refenced stores leaves no end-state evidence, yet opens a real
-    race window).  It is therefore used to {e prioritize} failure points,
-    never to prune them, and {!triage} quantifies exactly what it would have
-    missed by cross-checking against the dynamic detector. *)
+    race window).  It is therefore never used to prune failure points, and
+    {!triage} quantifies exactly what it would have missed by
+    cross-checking against the dynamic detector. *)
 
 (** Everything the linter can complain about. *)
 type rule =
@@ -181,24 +181,6 @@ val triage_of : program:string -> report -> Xfd.Engine.outcome -> triage
     configuration, faults re-armed), and classify both directions — the
     static-vs-dynamic precision/recall table. *)
 val triage : ?config:Xfd.Config.t -> Xfd.Engine.program -> triage
-
-(** {1 Lint-guided failure-point scheduling} *)
-
-(** Priority function for {!Xfd.Engine.detect}'s [?priority] argument:
-    scores each failure point by the number of lint findings whose firing
-    event falls in the trace window since the previous failure point
-    (end-of-trace findings score the final point).  Points with findings in
-    their window are post-executed first; the verdict {e set} is unchanged
-    by construction — scheduling reorders work, it never skips any. *)
-val priority_of : report -> (int * int) list -> int list
-
-(** [check_prog] then [Xfd.Engine.detect ~priority:(priority_of report)]:
-    lint findings steer which failure points are post-executed first. *)
-val detect_guided :
-  ?config:Xfd.Config.t ->
-  ?on_progress:(Xfd.Engine.progress -> unit) ->
-  Xfd.Engine.program ->
-  report * Xfd.Engine.outcome
 
 (** {1 Output} *)
 

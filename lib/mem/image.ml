@@ -39,10 +39,9 @@ let reset_peak () =
 
 (* A chunk is a refcounted page.  [refs] counts the images whose table
    references it; a chunk with [refs > 1] is immutable (every writer must
-   first take a private copy), which is what makes sharing across the
-   engine's post-failure worker domains race-free: workers only ever read
-   shared payloads, and all ownership transitions go through the atomic
-   refcount. *)
+   first take a private copy), so concurrent detections (xfd_serve runs
+   jobs on system threads) only ever read shared payloads, and all
+   ownership transitions go through the atomic refcount. *)
 type chunk = { data : bytes; refs : int Atomic.t }
 
 type t = { chunks : (int, chunk) Hashtbl.t; mutable footprint : int }

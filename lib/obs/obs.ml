@@ -11,8 +11,8 @@ let set_enabled v = Atomic.set enabled_flag v
 (* ---- metric registry ----
 
    One global table, name -> metric.  Registration happens at module
-   initialisation of the instrumented libraries; updates happen from the
-   main domain and from the engine's post-execution worker domains, so
+   initialisation of the instrumented libraries; updates happen from every
+   thread running a detection (xfd_serve runs jobs on system threads), so
    all metric state is Atomic and the registry itself is mutex-protected. *)
 
 type counter = { c_name : string; c_value : int Atomic.t }

@@ -7,7 +7,7 @@
 
     - {b metrics} — named monotonic {!Counter}s, {!Gauge}s and log-scale
       {!Histogram}s, registered once by name and safe to update from any
-      domain (the engine runs post-failure executions on a domain pool);
+      thread or domain (the detection service runs jobs concurrently);
     - {b spans} — nestable timed spans ({!Span.with_}) whose per-phase
       aggregation reproduces the Figure 12 wall-clock breakdown, replacing
       the engine's historical hand-rolled timing accumulation;
@@ -108,10 +108,10 @@ val metrics_snapshot :
 module Span : sig
   (** A finished span.  [start] is an absolute Unix timestamp in seconds,
       [dur] the wall-clock duration.  [parent] is the id of the enclosing
-      span on the same domain, if any: spans started on worker domains of
-      the engine's post-execution pool are roots of their own subtree.
-      [tid] is the integer id of the domain the span ran on — the track
-      key for trace export, one track per domain-pool worker. *)
+      span on the same domain, if any: spans started on another domain
+      are roots of their own subtree.  [tid] is the integer id of the
+      domain the span ran on — the track key for trace export, one track
+      per domain. *)
   type record = {
     id : int;
     parent : int option;

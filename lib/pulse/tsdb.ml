@@ -160,35 +160,34 @@ let series_json t ?last name =
 
 let write_jsonl t path =
   let ns = names t in
-  let oc = open_out path in
-  List.iter
-    (fun n ->
-      match series_json t n with
-      | None -> ()
-      | Some j ->
-        output_string oc (Json.to_string j);
-        output_char oc '\n')
-    ns;
-  close_out oc;
+  Xfd_util.Atomic_file.write path (fun oc ->
+      List.iter
+        (fun n ->
+          match series_json t n with
+          | None -> ()
+          | Some j ->
+            output_string oc (Json.to_string j);
+            output_char oc '\n')
+        ns);
   List.length ns
 
 let write_csv t path =
   let ns = names t in
-  let oc = open_out path in
-  output_string oc "series,unix_s,value\n";
   let rows = ref 0 in
-  List.iter
-    (fun n ->
-      match window t n with
-      | None -> ()
-      | Some pts ->
-        List.iter
-          (fun p ->
-            (* Series names are dotted metric paths — no commas, quotes or
-               newlines to escape (enforced at Obs registration by usage). *)
-            Printf.fprintf oc "%s,%.6f,%.17g\n" n p.at p.value;
-            incr rows)
-          pts)
-    ns;
-  close_out oc;
+  Xfd_util.Atomic_file.write path (fun oc ->
+      output_string oc "series,unix_s,value\n";
+      List.iter
+        (fun n ->
+          match window t n with
+          | None -> ()
+          | Some pts ->
+            List.iter
+              (fun p ->
+                (* Series names are dotted metric paths — no commas, quotes
+                   or newlines to escape (enforced at Obs registration by
+                   usage). *)
+                Printf.fprintf oc "%s,%.6f,%.17g\n" n p.at p.value;
+                incr rows)
+              pts)
+        ns);
   !rows

@@ -91,11 +91,11 @@ let now () = Unix.gettimeofday ()
 
 (* ---- job execution (worker side) ---- *)
 
-let run_job t job =
+let run_job t ~run job =
   Mutex.protect t.mu (fun () ->
       job.Job.state <- Job.Running;
       job.Job.started_at <- Some (now ()));
-  let outcome = Job.run job.Job.spec in
+  let outcome = run job.Job.spec in
   Mutex.protect t.mu (fun () ->
       (match outcome with
       | Ok r ->
@@ -337,7 +337,7 @@ let handle t (req : Httpd.request) =
 
 (* ---- lifecycle ---- *)
 
-let start ?tsdb config =
+let start ?tsdb ?(run = Job.run) config =
   if config.workers <= 0 then invalid_arg "Serve.start: workers must be positive";
   if config.queue_cap <= 0 then invalid_arg "Serve.start: queue_cap must be positive";
   if config.retain <= 0 then invalid_arg "Serve.start: retain must be positive";
@@ -367,7 +367,7 @@ let start ?tsdb config =
     }
   in
   t.pool <-
-    Some (Pool.create ~workers:config.workers ~queue_cap:config.queue_cap (run_job t));
+    Some (Pool.create ~workers:config.workers ~queue_cap:config.queue_cap (run_job t ~run));
   t.httpd <-
     Some
       (Httpd.start ~host:config.host

@@ -46,8 +46,14 @@ type t
     an existing recorder (the CLI's); otherwise one is created, sampled
     at [sample_interval] and stopped with the service.  Raises
     [Invalid_argument] on non-positive workers/queue_cap/retain and
-    [Unix.Unix_error] if the bind fails. *)
-val start : ?tsdb:Xfd_pulse.Tsdb.t -> config -> t
+    [Unix.Unix_error] if the bind fails.  [?run] replaces {!Job.run} as
+    the job runner; it exists so tests can hold a worker busy for exactly
+    as long as they need. *)
+val start :
+  ?tsdb:Xfd_pulse.Tsdb.t ->
+  ?run:(Job.spec -> (Job.outcome_summary, string) result) ->
+  config ->
+  t
 
 (** The bound port (useful with [port = 0]). *)
 val port : t -> int

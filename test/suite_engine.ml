@@ -175,10 +175,6 @@ let config_tests =
                 && String.sub msg 0 (String.length "Config.max_failure_points")
                    = "Config.max_failure_points"))
           [ 0; -1; min_int ]);
-    Tu.case "validate rejects a non-positive pool size" (fun () ->
-        match Config.validate { Config.default with post_jobs = 0 } with
-        | () -> Alcotest.fail "post_jobs 0 accepted"
-        | exception Invalid_argument _ -> ());
     Tu.case "detect refuses an invalid configuration up front" (fun () ->
         let config = { Config.default with max_failure_points = 0 } in
         match Tu.detect ~config (counter_program ~n:2 ()) with
@@ -213,17 +209,109 @@ let config_tests =
         Alcotest.(check int) "cap + terminal" 3 o.Engine.failure_points);
   ]
 
+(* Run [f] with the flight recorder at Debug on an empty ring, restoring
+   the recorder afterwards; returns [f]'s result and the recorded events. *)
+let recording f =
+  let module Flight = Xfd_flight.Flight in
+  let lvl0 = Flight.level () and cap0 = Flight.capacity () in
+  Flight.clear ();
+  Flight.set_level Flight.Debug;
+  Flight.set_capacity 100_000;
+  Fun.protect
+    ~finally:(fun () ->
+      Flight.set_level lvl0;
+      Flight.set_capacity cap0;
+      Flight.clear ())
+    (fun () ->
+      let r = try Ok (f ()) with e -> Error e in
+      (r, Flight.events ()))
+
+(* The [(event, failure point)] sequence of the per-point lifecycle. *)
+let fp_lifecycle evs =
+  List.filter_map
+    (fun (e : Xfd_flight.Flight.event) ->
+      match (e.name, List.assoc_opt "failure_point" e.fields) with
+      | ("fp.started" | "fp.verdict"), Some (Xfd_util.Json.Int k) -> Some (e.name, k)
+      | _ -> None)
+    evs
+
+let lifecycle_t = Alcotest.(list (pair string int))
+
+(* Post-failure stage that raises [Assert_failure] on its [k]-th run. *)
+let asserting_at k =
+  let runs = ref 0 in
+  {
+    (asserting_post_program ()) with
+    Engine.name = "asserting-at";
+    post =
+      (fun _ ->
+        let i = !runs in
+        incr runs;
+        assert (i <> k));
+  }
+
+let order_tests =
+  [
+    Tu.case "each failure point is judged before the next one starts" (fun () ->
+        List.iter
+          (fun (name, program) ->
+            let progress = ref [] in
+            let on_progress p = progress := (p.Engine.completed, Domain.self ()) :: !progress in
+            let o, evs = recording (fun () -> Engine.detect ~on_progress (program ())) in
+            let o = match o with Ok o -> o | Error e -> raise e in
+            let n = o.Engine.failure_points in
+            Alcotest.(check bool) (name ^ ": has failure points") true (n > 1);
+            Alcotest.check lifecycle_t
+              (name ^ ": fp.verdict k precedes fp.started k+1")
+              (List.concat (List.init n (fun k -> [ ("fp.started", k); ("fp.verdict", k) ])))
+              (fp_lifecycle evs);
+            let progress = List.rev !progress in
+            Alcotest.(check (list int))
+              (name ^ ": on_progress reports 0..n in order")
+              (List.init (n + 1) Fun.id) (List.map fst progress);
+            Alcotest.(check bool)
+              (name ^ ": on_progress runs on the caller's domain")
+              true
+              (List.for_all (fun (_, d) -> d = Domain.self ()) progress);
+            Tu.check_clean name o)
+          [
+            ("counter", fun () -> counter_program ~n:4 ());
+            ("btree", fun () -> Xfd_workloads.Btree.program ~init_size:3 ~size:3 ());
+            ( "array-update",
+              fun () -> Xfd_workloads.Array_update.program ~size:1 ~correct_valid:true () );
+          ]);
+    Tu.case "a fatal post exception aborts before the next point and frees everything"
+      (fun () ->
+        let k = 2 in
+        List.iter
+          (fun engine ->
+            let config = { Config.default with engine } in
+            let image0 = Xfd_mem.Image.live_bytes () in
+            let shadow0 = Xfd_mem.Shadow_pages.live_bytes () in
+            let r, evs = recording (fun () -> Engine.detect ~config (asserting_at k)) in
+            (match r with
+            | Error (Assert_failure _) -> ()
+            | Error e -> raise e
+            | Ok _ -> Alcotest.fail "the assert was swallowed");
+            Alcotest.check lifecycle_t "points up to k judged, k started, nothing after"
+              (List.concat (List.init k (fun i -> [ ("fp.started", i); ("fp.verdict", i) ]))
+              @ [ ("fp.started", k) ])
+              (fp_lifecycle evs);
+            Alcotest.(check bool) "run.abort recorded" true
+              (List.exists (fun (e : Xfd_flight.Flight.event) -> e.name = "run.abort") evs);
+            Alcotest.(check int) "pm chunk bytes released" image0 (Xfd_mem.Image.live_bytes ());
+            Alcotest.(check int) "shadow page bytes released" shadow0
+              (Xfd_mem.Shadow_pages.live_bytes ()))
+          [ `Incremental; `Fresh ]);
+  ]
+
 let worker_exception_tests =
   [
-    Tu.case "worker exceptions surface at every pool size" (fun () ->
-        List.iter
-          (fun jobs ->
-            let config = { Config.default with post_jobs = jobs } in
-            match Tu.detect ~config (asserting_post_program ()) with
-            | _ -> Alcotest.failf "post_jobs=%d swallowed the assert" jobs
-            | exception Assert_failure _ -> ())
-          [ 1; 2; 4 ]);
-    Tu.case "non-fatal post exceptions stay bug reports at every pool size" (fun () ->
+    Tu.case "worker exceptions surface and abort detection" (fun () ->
+        match Tu.detect (asserting_post_program ()) with
+        | _ -> Alcotest.fail "detection swallowed the assert"
+        | exception Assert_failure _ -> ());
+    Tu.case "non-fatal post exceptions stay bug reports" (fun () ->
         let failing_post_program () =
           {
             (asserting_post_program ()) with
@@ -231,21 +319,12 @@ let worker_exception_tests =
             post = (fun _ -> failwith "recovery invariant violated");
           }
         in
-        let run jobs =
-          let config = { Config.default with post_jobs = jobs } in
-          let o = Tu.detect ~config (failing_post_program ()) in
-          List.sort_uniq String.compare
-            (List.map Xfd.Report.dedup_key o.Engine.unique_bugs)
-        in
-        let seq = run 1 in
+        let o = Tu.detect (failing_post_program ()) in
+        let keys = List.map Xfd.Report.dedup_key o.Engine.unique_bugs in
         Alcotest.(check bool) "reported as post-error" true
-          (List.exists (fun k -> String.length k >= 10 && String.sub k 0 10 = "post-error") seq);
-        List.iter
-          (fun jobs ->
-            Alcotest.(check (list string))
-              (Printf.sprintf "post_jobs=%d matches sequential" jobs)
-              seq (run jobs))
-          [ 2; 4 ]);
+          (List.exists (fun k -> String.length k >= 10 && String.sub k 0 10 = "post-error") keys);
+        Alcotest.(check int) "one report per failure point" o.Engine.failure_points
+          (List.length o.Engine.reports));
   ]
 
 let suite =
@@ -253,4 +332,5 @@ let suite =
     ("engine", tests);
     ("engine.config", config_tests);
     ("engine.workers", worker_exception_tests);
+    ("engine.order", order_tests);
   ]

@@ -185,7 +185,7 @@ let perfetto_tests =
         List.iter
           (fun n ->
             Alcotest.(check bool) (n ^ " slice present") true (List.mem n slices))
-          [ "detect"; "pre_exec"; "post_exec"; "post_run"; "snapshot" ];
+          [ "detect"; "pre_exec"; "post_exec"; "post_replay"; "snapshot" ];
         (* Slices carry non-negative µs timestamps on declared tracks. *)
         (match Json.member "traceEvents" reparsed with
         | Some (Json.Arr evs) ->
@@ -330,18 +330,6 @@ let progress_tests =
         in
         Alcotest.(check bool) "identical findings" true
           (fingerprint quiet = fingerprint noisy));
-    Tu.case "detect_guided threads progress through" (fun () ->
-        let last = ref None in
-        let _, o =
-          Xfd_lint.Lint.detect_guided
-            ~on_progress:(fun p -> last := Some p)
-            (program ())
-        in
-        match !last with
-        | Some p ->
-          Alcotest.(check int) "finishes complete" o.Engine.failure_points p.Engine.completed;
-          Alcotest.(check int) "with the right total" o.Engine.failure_points p.Engine.total
-        | None -> Alcotest.fail "no progress reported");
     Tu.case "full observability leaves the verdict byte-identical" (fun () ->
         let off = Tu.detect (program ()) in
         let lvl0 = Flight.level () in

@@ -278,9 +278,7 @@ let release_tests =
   [
     Tu.case "aborted runs release every device and shadow page" (fun () ->
         check_released "incremental" incremental;
-        check_released "fresh" fresh;
-        check_released "incremental post_jobs=2" { incremental with Config.post_jobs = 2 };
-        check_released "fresh post_jobs=2" { fresh with Config.post_jobs = 2 });
+        check_released "fresh" fresh);
     Tu.case "successful runs release every device and shadow page" (fun () ->
         let image0 = Xfd_mem.Image.live_bytes () in
         let shadow0 = Xfd_mem.Shadow_pages.live_bytes () in

@@ -1,4 +1,5 @@
-(* Tests for the JSON encoder and the machine-readable outcome output. *)
+(* Tests for the JSON encoder, the machine-readable outcome output and the
+   atomic whole-file writes every artifact goes through. *)
 
 module Json = Xfd_util.Json
 
@@ -124,8 +125,45 @@ let roundtrip_props =
         Json.of_string (Json.to_string v) = Ok v);
   ]
 
+(* A scratch directory holding one file, [artifact], with [contents]. *)
+let with_artifact contents f =
+  let dir = Filename.temp_dir "xfd-atomic" "" in
+  let path = Filename.concat dir "artifact.json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir path)
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+let listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let atomic_write_tests =
+  [
+    Tu.case "a writer that raises midway leaves the old file intact" (fun () ->
+        with_artifact "{\"old\": true}\n" (fun dir path ->
+            (match
+               Xfd_util.Atomic_file.write path (fun oc ->
+                   output_string oc "{\"new\": tru";
+                   flush oc;
+                   failwith "writer died")
+             with
+            | () -> Alcotest.fail "the writer's exception was swallowed"
+            | exception Failure msg -> Alcotest.(check string) "re-raised" "writer died" msg);
+            Alcotest.(check string) "old bytes untouched" "{\"old\": true}\n" (read path);
+            Alcotest.(check (list string)) "no temp file left" [ "artifact.json" ] (listing dir)));
+    Tu.case "a completed write replaces the file in one step" (fun () ->
+        with_artifact "old" (fun dir path ->
+            let n = Xfd_util.Atomic_file.write path (fun oc -> output_string oc "new"; 3) in
+            Alcotest.(check int) "writer result returned" 3 n;
+            Alcotest.(check string) "new bytes" "new" (read path);
+            Alcotest.(check (list string)) "no temp file left" [ "artifact.json" ] (listing dir)));
+  ]
+
 let suite =
   [
+    ("json.atomic_write", atomic_write_tests);
     ("json.encoder", encoder_tests);
     ("json.outcome", outcome_tests);
     ("json.roundtrip", roundtrip_tests @ List.map QCheck_alcotest.to_alcotest roundtrip_props);

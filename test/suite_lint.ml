@@ -1,7 +1,6 @@
 (* Tests for the static crash-consistency linter: one positive and one
    clean fixture per rule, the Abs lattice laws, JSON export, the
-   static-vs-dynamic triage goldens on real workloads, and the guarantee
-   that lint-guided scheduling never changes the dynamic verdict set. *)
+   static-vs-dynamic triage goldens on real workloads. *)
 
 module Lint = Xfd_lint.Lint
 module Abs = Xfd_lint.Abs
@@ -383,46 +382,6 @@ let golden_tests =
         Alcotest.(check bool) "lint clean" true (Lint.clean t.Lint.lint));
   ]
 
-let verdict_keys (o : Xfd.Engine.outcome) =
-  List.sort compare (List.map Report.dedup_key o.Xfd.Engine.unique_bugs)
-
-let guided_tests =
-  [
-    Tu.case "lint-guided detection keeps the verdict set byte-identical" (fun () ->
-        List.iter
-          (fun (faults, program) ->
-            let config = { Config.default with Config.faults = faults () } in
-            let plain = Xfd.Engine.detect ~config (program ()) in
-            let _, guided = Lint.detect_guided ~config (program ()) in
-            Alcotest.(check (list string)) "same verdicts" (verdict_keys plain)
-              (verdict_keys guided))
-          [
-            ( (fun () -> Faults.make ~skip_tx_add:[ 0 ] ()),
-              fun () -> Xfd_workloads.Btree.program ~init_size:2 ~size:2 () );
-            ( (fun () -> Faults.make ~skip_flush:[ 1 ] ()),
-              fun () -> Xfd_workloads.Hashmap_atomic.program ~size:2 ~variant:`Fixed () );
-            ( (fun () -> Faults.make ()),
-              fun () -> Xfd_workloads.Hashmap_tx.program ~size:2 () );
-          ]);
-    Tu.case "priority_of scores windows by finding index" (fun () ->
-        let r =
-          check
-            (mk_trace
-               [
-                 (Event.Roi_begin, l 1);
-                 (Event.Write { addr = data; size = 8 }, l 2);
-                 (Event.Clwb { addr = data }, l 3);
-                 (Event.Clwb { addr = data }, l 4);
-                 (Event.Sfence, l 5);
-               ])
-        in
-        (* The redundant flush fires at trace index 3: it falls in the second
-           failure point's window [2, 5). *)
-        match Lint.priority_of r [ (0, 2); (1, 5) ] with
-        | [ s0; s1 ] -> Alcotest.(check bool) "second window scores higher" true (s1 > s0)
-        | other -> Alcotest.failf "arity %d" (List.length other));
-  ]
-
 (* Abs is a 5-element lattice: check the laws exhaustively instead of by
    sampling. *)
 let abs_tests =
@@ -502,7 +461,6 @@ let suite =
     ("lint.details", detail_tests);
     ("lint.json", json_tests);
     ("lint.goldens", golden_tests);
-    ("lint.guided", guided_tests);
     ("lint.abs", abs_tests);
     ("lint.fuzz-oracle", List.map QCheck_alcotest.to_alcotest fuzz_props);
   ]

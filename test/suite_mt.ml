@@ -1,6 +1,5 @@
-(* Tests for multithreaded PM programs (section 7), parallelized detection
-   (the paper's future work) and the decoupled offline backend (section
-   5.5's frontend/backend split). *)
+(* Tests for multithreaded PM programs (section 7) and the decoupled
+   offline backend (section 5.5's frontend/backend split). *)
 
 module Ctx = Xfd_sim.Ctx
 module Mt = Xfd_sim.Mt
@@ -107,28 +106,6 @@ let mt_tests =
         Alcotest.(check (list string)) "same trace" (run false) (run true));
   ]
 
-let parallel_tests =
-  [
-    Tu.case "parallel post execution finds identical bugs" (fun () ->
-        let verdicts jobs =
-          let config = { Xfd.Config.default with post_jobs = jobs } in
-          let o = Tu.detect ~config (Xfd_workloads.Array_update.program ~size:2 ()) in
-          ( o.Xfd.Engine.failure_points,
-            List.map Xfd.Report.dedup_key o.Xfd.Engine.unique_bugs )
-        in
-        let seq = verdicts 1 in
-        Alcotest.(check bool) "jobs=2" true (verdicts 2 = seq);
-        Alcotest.(check bool) "jobs=4" true (verdicts 4 = seq));
-    Tu.case "parallel clean runs stay clean" (fun () ->
-        let config = { Xfd.Config.default with post_jobs = 4 } in
-        Tu.check_clean "parallel btree"
-          (Tu.detect ~config (Xfd_workloads.Btree.program ~init_size:3 ~size:3 ())));
-    Tu.case "jobs larger than failure points is fine" (fun () ->
-        let config = { Xfd.Config.default with post_jobs = 64 } in
-        Tu.check_clean "overprovisioned"
-          (Tu.detect ~config (Xfd_workloads.Array_update.program ~size:1 ~correct_valid:true ())));
-  ]
-
 let offline_tests =
   [
     Tu.case "traces round trip through files and re-check offline" (fun () ->
@@ -168,6 +145,5 @@ let offline_tests =
 let suite =
   [
     ("mt.interleave", mt_tests);
-    ("mt.parallel_detection", parallel_tests);
     ("mt.offline_backend", offline_tests);
   ]

@@ -264,8 +264,8 @@ let engine_tests =
         let named n =
           List.filter (fun r -> String.equal r.Obs.Span.name n) o.Engine.spans
         in
-        Alcotest.(check int) "one post_run per failure point" o.Engine.failure_points
-          (List.length (named "post_run"));
+        Alcotest.(check int) "one post_exec per failure point" o.Engine.failure_points
+          (List.length (named "post_exec"));
         Alcotest.(check int) "one post_replay per failure point" o.Engine.failure_points
           (List.length (named "post_replay"));
         Alcotest.(check int) "snapshots match failure points" o.Engine.failure_points
@@ -279,9 +279,9 @@ let engine_tests =
           | Some (Json.Int i) -> Some i
           | _ -> None
         in
-        let fps = List.filter_map fp_meta (named "post_run") |> List.sort compare in
+        let fps = List.filter_map fp_meta (named "post_exec") in
         Alcotest.(check (list int))
-          "post_run meta enumerates failure points"
+          "post_exec meta enumerates failure points in order"
           (List.init o.Engine.failure_points Fun.id)
           fps);
     Tu.case "engine counters tally failure points and bugs" (fun () ->

@@ -180,8 +180,8 @@ let pool_tests =
 
 (* ---- serving helpers ---- *)
 
-let with_serve ?(config = Serve.default_config) f =
-  let t = Serve.start config in
+let with_serve ?(config = Serve.default_config) ?run f =
+  let t = Serve.start ?run config in
   Fun.protect
     ~finally:(fun () -> Serve.stop t)
     (fun () ->
@@ -190,6 +190,28 @@ let with_serve ?(config = Serve.default_config) f =
       wait_for "server ready" (fun () ->
           match Httpc.get ~host ~port "/ready" with Ok (200, _) -> true | _ -> false);
       f t port)
+
+(* A job runner whose first job blocks until [release] is called, so a
+   test controls exactly how long the only worker stays occupied instead of
+   racing a heavy job against localhost round trips.  [release] is
+   idempotent; call it before the service drains. *)
+let held_first_job () =
+  let m = Mutex.create () and c = Condition.create () in
+  let released = ref false and calls = Atomic.make 0 in
+  let run spec =
+    if Atomic.fetch_and_add calls 1 = 0 then
+      Mutex.protect m (fun () ->
+          while not !released do
+            Condition.wait c m
+          done);
+    Job.run spec
+  in
+  let release () =
+    Mutex.protect m (fun () ->
+        released := true;
+        Condition.broadcast c)
+  in
+  (run, release)
 
 let parse_json body =
   match Json.of_string body with
@@ -317,7 +339,7 @@ let protocol_tests =
               (Json.to_string (workload_spec ~workload:"nope" ~init:0 ~test:1 ()));
             reject "unknown kind" {|{"kind":"weird"}|};
             reject "bad engine" {|{"workload":"btree","engine":"quantum"}|};
-            reject "out-of-range post_jobs" {|{"workload":"btree","post_jobs":99}|};
+            reject "out-of-range test size" {|{"workload":"btree","test":1001}|};
             reject "malformed patch"
               (Json.to_string
                  (workload_spec ~patch:"warp-core=0" ~workload:"btree" ~init:0 ~test:1 ()));
@@ -496,18 +518,25 @@ let e2e_tests =
             let rep = parse_json body in
             Alcotest.(check string) "report envelope" "xfd_report" (jstr "type" rep)));
     Tu.case "a report requested before completion answers 409" (fun () ->
-        (* one worker, occupied by a heavier job: the second job is still
-           queued when we ask for its report *)
+        (* one worker, held on the first job until the test releases it:
+           the second job is still queued when we ask for its report *)
         let config = { Serve.default_config with workers = 1; queue_cap = 8 } in
-        with_serve ~config (fun _t port ->
-            let slow = submit_ok ~port (workload_spec ~workload:"btree" ~init:2 ~test:4 ()) in
-            let queued =
-              submit_ok ~port (workload_spec ~workload:"btree" ~init:0 ~test:1 ())
+        let run, release = held_first_job () in
+        with_serve ~config ~run (fun _t port ->
+            let slow, queued =
+              Fun.protect ~finally:release (fun () ->
+                  let slow =
+                    submit_ok ~port (workload_spec ~workload:"btree" ~init:2 ~test:4 ())
+                  in
+                  let queued =
+                    submit_ok ~port (workload_spec ~workload:"btree" ~init:0 ~test:1 ())
+                  in
+                  let status, body = get_ok ~port ("/v1/jobs/" ^ queued ^ "/report") in
+                  Alcotest.(check int) "report before completion is 409" 409 status;
+                  Alcotest.(check string) "409 is a JSON error" "error"
+                    (jstr "type" (parse_json body));
+                  (slow, queued))
             in
-            let status, body = get_ok ~port ("/v1/jobs/" ^ queued ^ "/report") in
-            Alcotest.(check int) "report before completion is 409" 409 status;
-            Alcotest.(check string) "409 is a JSON error" "error"
-              (jstr "type" (parse_json body));
             List.iter
               (fun id ->
                 Alcotest.(check string) (id ^ " done") "done"
@@ -590,9 +619,10 @@ let backpressure_tests =
               (List.length (List.sort_uniq String.compare fps))));
     Tu.case "a full queue answers 429 and keeps earlier jobs intact" (fun () ->
         let config = { Serve.default_config with workers = 1; queue_cap = 1 } in
-        with_serve ~config (fun _t port ->
-            (* a heavier job occupies the worker long enough for the queue
-               to observably fill *)
+        let run, release = held_first_job () in
+        with_serve ~config ~run (fun _t port ->
+            (* the first job holds the only worker until released, so the
+               queue observably fills *)
             let slow =
               Json.to_string (workload_spec ~workload:"btree" ~init:2 ~test:4 ())
             in
@@ -611,12 +641,13 @@ let backpressure_tests =
               | Ok (s, _, b) -> Alcotest.failf "unexpected status %d: %s" s b
               | Error e -> Alcotest.failf "submit failed: %s" e
             in
-            submit slow;
-            for _ = 1 to 8 do
-              submit quick
-            done;
-            Alcotest.(check bool) "at least one queue-full rejection" true (!rejected > 0);
-            Alcotest.(check bool) "at least the first job accepted" true (!ids <> []);
+            Fun.protect ~finally:release (fun () ->
+                submit slow;
+                for _ = 1 to 8 do
+                  submit quick
+                done;
+                Alcotest.(check bool) "at least one queue-full rejection" true (!rejected > 0);
+                Alcotest.(check bool) "at least the first job accepted" true (!ids <> []));
             List.iter
               (fun id ->
                 Alcotest.(check string) (id ^ " done") "done"
