@@ -1,5 +1,6 @@
-(* Tests for multithreaded PM programs (section 7) and the decoupled
-   offline backend (section 5.5's frontend/backend split). *)
+(* Tests for multithreaded PM programs (section 7), clean-run checks of
+   detection under both engines and the decoupled offline backend
+   (section 5.5's frontend/backend split). *)
 
 module Ctx = Xfd_sim.Ctx
 module Mt = Xfd_sim.Mt
@@ -106,6 +107,26 @@ let mt_tests =
         Alcotest.(check (list string)) "same trace" (run false) (run true));
   ]
 
+(* Detection used to fan post-failure executions out over a domain pool;
+   it now judges failure points one at a time.  These keep the clean-run
+   checks that group made, under both engines. *)
+let parallel_tests =
+  let engines = [ ("incremental", `Incremental); ("fresh", `Fresh) ] in
+  let check_clean_under name program =
+    List.iter
+      (fun (ename, engine) ->
+        let config = { Xfd.Config.default with engine } in
+        Tu.check_clean (name ^ " " ^ ename) (Tu.detect ~config (program ())))
+      engines
+  in
+  [
+    Tu.case "parallel clean runs stay clean" (fun () ->
+        check_clean_under "btree" (fun () -> Xfd_workloads.Btree.program ~init_size:3 ~size:3 ()));
+    Tu.case "jobs larger than failure points is fine" (fun () ->
+        check_clean_under "array update" (fun () ->
+            Xfd_workloads.Array_update.program ~size:1 ~correct_valid:true ()));
+  ]
+
 let offline_tests =
   [
     Tu.case "traces round trip through files and re-check offline" (fun () ->
@@ -145,5 +166,6 @@ let offline_tests =
 let suite =
   [
     ("mt.interleave", mt_tests);
+    ("mt.parallel_detection", parallel_tests);
     ("mt.offline_backend", offline_tests);
   ]
