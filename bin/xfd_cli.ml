@@ -472,9 +472,6 @@ let lint_cmd =
       & info [ "patch" ] ~docv:"SPEC"
           ~doc:"Seed mechanical bugs before linting (same syntax as $(b,run --patch)).")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the lint report (and triage) as JSON.")
-  in
   let triage =
     Arg.(
       value & flag
@@ -500,54 +497,12 @@ let lint_cmd =
             "Comma-separated rule ids that must all fire; exit non-zero when any is \
              missing — for CI gating of seeded-bug variants.")
   in
-  let fail_on_finding =
-    Arg.(
-      value & flag
-      & info [ "fail-on-finding" ]
-          ~doc:
-            "Deprecated: findings exit 1 by default now; the flag is accepted and \
-             ignored.")
-  in
-  let domain =
-    Arg.(
-      value & opt string "adr"
-      & info [ "domain" ] ~docv:"MODEL"
-          ~doc:
-            "Persistence-domain model to lint under: $(b,adr) (default), $(b,eadr) or \
-             $(b,cxl-gpf).")
-  in
-  let diff_domains =
-    Arg.(
-      value & flag
-      & info [ "diff-domains" ]
-          ~doc:
-            "Lint the same trace under every domain model and classify each finding \
-             key as stable / appears / disappears relative to the $(b,--domain) \
-             baseline.")
-  in
-  let action workload init test patch json triage triage_out expect _fail_on_finding
-      domain diff_domains =
-    let domain =
-      match Xfd_trace.Domain_model.of_string domain with
-      | Some d -> d
-      | None ->
-        Printf.eprintf "unknown persistence-domain model %S (want adr|eadr|cxl-gpf)\n"
-          domain;
-        exit 2
-    in
+  let action (o : Lint_front.opts) workload init test patch triage triage_out expect =
     let entry =
-      match
-        List.find_opt
-          (fun e ->
-            String.lowercase_ascii e.Xfd_experiments.Workload_set.name
-            = String.lowercase_ascii workload)
-          Xfd_experiments.Workload_set.extended
-      with
-      | Some e -> e
-      | None ->
-        Printf.eprintf "unknown workload %S (want one of %s)\n" workload
-          (String.concat ", " workload_names);
-        exit 2
+      try Xfd_experiments.Workload_set.find workload
+      with Invalid_argument _ ->
+        Lint_front.usage_error "unknown workload %S (want one of %s)" workload
+          (String.concat ", " workload_names)
     in
     let faults =
       match patch with
@@ -555,11 +510,9 @@ let lint_cmd =
       | Some s -> (
         match Xfd_serve.Job.faults_of_spec s with
         | Ok f -> f
-        | Error e ->
-          Printf.eprintf "bad --patch: %s\n" e;
-          exit 2)
+        | Error e -> Lint_front.usage_error "bad --patch: %s" e)
     in
-    let config = { Xfd.Config.default with faults; domain } in
+    let config = { Xfd.Config.default with faults; domain = o.Lint_front.domain } in
     let program = entry.Xfd_experiments.Workload_set.make ~init ~test in
     let expected =
       match expect with
@@ -570,40 +523,17 @@ let lint_cmd =
         |> List.map (fun id ->
                match Xfd_lint.Lint.rule_of_id id with
                | Some _ -> id
-               | None ->
-                 Printf.eprintf "unknown rule id %S\n" id;
-                 exit 2)
+               | None -> Lint_front.usage_error "unknown rule id %S" id)
     in
-    let do_triage = triage || triage_out <> None in
-    let diff =
-      if diff_domains then Some (Xfd_lint.Lint.diff_prog ~config ~baseline:domain program)
-      else None
+    let analysis, tri =
+      if o.Lint_front.diff_domains then
+        let d = Xfd_lint.Lint.diff_prog ~config ~baseline:o.Lint_front.domain program in
+        (Lint_front.Diff d, None)
+      else if triage || triage_out <> None then
+        let t = Xfd_lint.Lint.triage ~config program in
+        (Lint_front.Report t.Xfd_lint.Lint.lint, Some t)
+      else (Lint_front.Report (Xfd_lint.Lint.check_prog ~config program), None)
     in
-    let report, tri =
-      match diff with
-      | Some d -> (List.assoc domain d.Xfd_lint.Lint.reports, None)
-      | None ->
-        if do_triage then
-          let t = Xfd_lint.Lint.triage ~config program in
-          (t.Xfd_lint.Lint.lint, Some t)
-        else (Xfd_lint.Lint.check_prog ~config program, None)
-    in
-    (match diff with
-    | Some d ->
-      if json then
-        print_endline (Xfd_util.Json.to_string_pretty (Xfd_lint.Lint.diff_to_json d))
-      else Format.printf "%a@." Xfd_lint.Lint.pp_diff d
-    | None ->
-      if json then
-        print_endline
-          (Xfd_util.Json.to_string_pretty
-             (match tri with
-             | Some t -> Xfd_lint.Lint.triage_to_json t
-             | None -> Xfd_lint.Lint.report_to_json report))
-      else begin
-        Format.printf "%a@." Xfd_lint.Lint.pp_report report;
-        Option.iter (fun t -> Format.printf "%a@." Xfd_lint.Lint.pp_triage t) tri
-      end);
     Option.iter
       (fun file ->
         let t = Option.get tri in
@@ -613,25 +543,7 @@ let lint_cmd =
             output_char oc '\n');
         Format.eprintf "triage written to %s@." file)
       triage_out;
-    let fired =
-      List.map
-        (fun f -> Xfd_lint.Lint.rule_id f.Xfd_lint.Lint.rule)
-        report.Xfd_lint.Lint.findings
-    in
-    (* Exit contract (shared with xfd_trace_tool lint): 0 = clean,
-       1 = findings (or a missed expectation), 2 = usage/IO error.  With
-       --expect the findings are the point, so meeting every expectation
-       exits 0.  With --diff-domains "clean" means clean under every
-       analysed model. *)
-    let missing = List.filter (fun id -> not (List.mem id fired)) expected in
-    if missing <> [] then begin
-      Printf.eprintf "expected rule(s) did not fire: %s\n" (String.concat ", " missing);
-      exit 1
-    end;
-    if expected = [] then
-      match diff with
-      | Some d -> if not (Xfd_lint.Lint.diff_clean d) then exit 1
-      | None -> if not (Xfd_lint.Lint.clean report) then exit 1
+    Lint_front.finish o ?triage:tri ~expected analysis
   in
   Cmd.v
     (Cmd.info "lint"
@@ -642,8 +554,8 @@ let lint_cmd =
           detector. Exits 0 when clean, 1 on findings or a missed $(b,--expect), 2 \
           on usage errors.")
     Term.(
-      const action $ workload $ init $ test $ patch $ json $ triage $ triage_out $ expect
-      $ fail_on_finding $ domain $ diff_domains)
+      const action $ Lint_front.opts $ workload $ init $ test $ patch $ triage $ triage_out
+      $ expect)
 
 let fuzz_cmd =
   let seed =

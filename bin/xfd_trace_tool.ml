@@ -317,64 +317,14 @@ let explain_cmd =
 
 let lint_cmd =
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the lint report as one JSON object.")
-  in
-  let fail_on_finding =
-    Arg.(
-      value & flag
-      & info [ "fail-on-finding" ]
-          ~doc:
-            "Deprecated: findings exit 1 by default now; the flag is accepted and \
-             ignored.")
-  in
-  let domain =
-    Arg.(
-      value & opt string "adr"
-      & info [ "domain" ] ~docv:"MODEL"
-          ~doc:
-            "Persistence-domain model to lint under: $(b,adr) (default), $(b,eadr) or \
-             $(b,cxl-gpf).")
-  in
-  let diff_domains =
-    Arg.(
-      value & flag
-      & info [ "diff-domains" ]
-          ~doc:
-            "Lint the trace under every domain model and classify each finding key as \
-             stable / appears / disappears relative to the $(b,--domain) baseline.")
-  in
-  let action file json _fail_on_finding domain diff_domains =
-    let domain =
-      match Xfd_trace.Domain_model.of_string domain with
-      | Some d -> d
-      | None ->
-        Printf.eprintf "unknown persistence-domain model %S (want adr|eadr|cxl-gpf)\n"
-          domain;
-        exit 2
-    in
+  let action o file =
     let t =
-      try load_trace file
-      with Sys_error e ->
-        Printf.eprintf "cannot read trace: %s\n" e;
-        exit 2
+      try load_trace file with Sys_error e -> Lint_front.usage_error "cannot read trace: %s" e
     in
-    (* Exit contract (shared with xfd_cli lint): 0 = clean, 1 = findings,
-       2 = usage/IO error. *)
-    if diff_domains then begin
-      let d = Xfd_lint.Lint.diff_domains ~baseline:domain t in
-      if json then
-        print_endline (Xfd_util.Json.to_string (Xfd_lint.Lint.diff_to_json d))
-      else Format.printf "%s: %a@." file Xfd_lint.Lint.pp_diff d;
-      if not (Xfd_lint.Lint.diff_clean d) then exit 1
-    end
-    else begin
-      let report = Xfd_lint.Lint.check_trace ~domain t in
-      if json then
-        print_endline (Xfd_util.Json.to_string (Xfd_lint.Lint.report_to_json report))
-      else Format.printf "%s: %a@." file Xfd_lint.Lint.pp_report report;
-      if not (Xfd_lint.Lint.clean report) then exit 1
-    end
+    Lint_front.finish o ~title:file
+      (if o.Lint_front.diff_domains then
+         Lint_front.Diff (Xfd_lint.Lint.diff_domains ~baseline:o.Lint_front.domain t)
+       else Lint_front.Report (Xfd_lint.Lint.check_trace ~domain:o.Lint_front.domain t))
   in
   Cmd.v
     (Cmd.info "lint"
@@ -382,7 +332,7 @@ let lint_cmd =
          "Statically analyse a recorded pre-failure trace for crash-consistency rule \
           violations — no execution, no replay. Exits 0 when clean, 1 on findings, 2 \
           on usage or IO errors.")
-    Term.(const action $ file $ json $ fail_on_finding $ domain $ diff_domains)
+    Term.(const action $ Lint_front.opts $ file)
 
 let check_cmd =
   let pre = Arg.(required & opt (some string) None & info [ "pre" ] ~docv:"FILE") in

@@ -13,9 +13,9 @@ let on_fence = function
   | Writeback_pending -> Persisted
   | (Unmodified | Modified | Persisted) as s -> s
 
-(* Domain-parametric transfers, mirroring {!Xfd_lint.Abs.on_*_in} on the
-   concrete machine (DESIGN.md decision 18).  [Adr] is exactly the
-   functions above. *)
+(* Domain-parametric transfers: the one transfer table (DESIGN.md
+   decision 18), which {!Xfd_lint.Abs} lifts to the lint lattice.  [Adr] is
+   exactly the functions above. *)
 
 module D = Xfd_trace.Domain_model
 

@@ -1,5 +1,6 @@
 module Addr = Xfd_mem.Addr
 module Pages = Xfd_mem.Shadow_pages
+module Cold = Xfd_mem.Cold_pages
 module Obs = Xfd_obs.Obs
 module History = Xfd_forensics.History
 module Loc = Xfd_util.Loc
@@ -78,8 +79,7 @@ type div = {
 
 type store = {
   pages : Pages.t;
-  meta : (int, meta) Hashtbl.t;
-  mutable last_meta : (int * meta) option;
+  meta : meta Cold.t;
   record_hist : bool;
   domain : Xfd_trace.Domain_model.t;
   mutable active : div option;
@@ -88,12 +88,18 @@ type store = {
 type t = { store : store; div : div option }
 
 let create ?(forensics = false) ?(domain = Xfd_trace.Domain_model.Adr) () =
+  let fresh n =
+    {
+      tlast = Array.make n (-1);
+      writer = Array.make n Loc.unknown;
+      hist = (if forensics then Some (Array.make n None) else None);
+    }
+  in
   {
     store =
       {
         pages = Pages.create ();
-        meta = Hashtbl.create 16;
-        last_meta = None;
+        meta = Cold.create fresh;
         record_hist = forensics;
         domain;
         active = None;
@@ -105,41 +111,14 @@ let domain t = t.store.domain
 
 let release t =
   Pages.release t.store.pages;
-  Hashtbl.reset t.store.meta;
-  t.store.last_meta <- None;
+  Cold.reset t.store.meta;
   t.store.active <- None
 
 let is_active store d = match store.active with Some d' -> d' == d | None -> false
 
-let page_index addr = addr lsr 12
-let page_offset addr = addr land 4095
-
-let meta_for store addr =
-  let idx = page_index addr in
-  match store.last_meta with
-  | Some (i, m) when i = idx -> Some m
-  | _ -> (
-    match Hashtbl.find_opt store.meta idx with
-    | Some m ->
-      store.last_meta <- Some (idx, m);
-      Some m
-    | None -> None)
-
-let own_meta store addr =
-  match meta_for store addr with
-  | Some m -> m
-  | None ->
-    let m =
-      {
-        tlast = Array.make Pages.page_size (-1);
-        writer = Array.make Pages.page_size Loc.unknown;
-        hist = (if store.record_hist then Some (Array.make Pages.page_size None) else None);
-      }
-    in
-    let idx = page_index addr in
-    Hashtbl.replace store.meta idx m;
-    store.last_meta <- Some (idx, m);
-    m
+let page_offset = Cold.offset
+let meta_for store addr = Cold.find store.meta addr
+let own_meta store addr = Cold.own store.meta addr
 
 let tlast_of store addr =
   match meta_for store addr with None -> -1 | Some m -> m.tlast.(page_offset addr)
@@ -154,11 +133,12 @@ let hist_of store addr =
   | Some { hist = Some rows; _ } -> rows.(page_offset addr)
   | Some _ | None -> None
 
-(* The provenance history of [addr], created on first use.  Only base
-   mutations record history; divergences read it by reference, exactly as
-   the old overlay cells shared their parent's [hist]. *)
-let own_hist store addr =
-  if not store.record_hist then None
+(* The provenance history a mutation of [addr] through [div] records into,
+   created on first use.  Only base mutations of a forensic shadow record
+   history; divergences read it by reference, exactly as the old overlay
+   cells shared their parent's [hist]. *)
+let hist_to_record div store addr =
+  if (not store.record_hist) || Option.is_some div then None
   else
     let m = own_meta store addr in
     match m.hist with
@@ -297,6 +277,19 @@ let find t addr =
       | None -> if packed = 0 then None else Some (cell_of store addr packed))
     | Some _ | None -> if packed = 0 then None else Some (cell_of store addr packed))
 
+let pstate t addr =
+  let store = t.store in
+  let packed = Pages.get store.pages addr in
+  let packed =
+    match (t.div, store.active) with
+    | None, Some d when Pages.has packed bit_journaled -> (
+      match Hashtbl.find d.index addr with
+      | i -> d.j_packed.(i)
+      | exception Not_found -> packed)
+    | _ -> packed
+  in
+  decode_pstate (Pages.state_of packed)
+
 (* ------------------------------------------------------------------ *)
 (* Writes *)
 
@@ -309,11 +302,6 @@ let put div store addr ~old packed =
   | Some d ->
     journal d store addr old;
     Pages.set store.pages addr (packed lor bit_journaled)
-
-let record_hist div store addr f =
-  match div with
-  | Some _ -> ()
-  | None -> ( match own_hist store addr with Some h -> f h | None -> ())
 
 let write_byte t addr ~ts ~ev ~loc ~nt ~post =
   let store = t.store in
@@ -343,9 +331,11 @@ let write_byte t addr ~ts ~ev ~loc ~nt ~post =
   let off = page_offset addr in
   m.tlast.(off) <- ts;
   m.writer.(off) <- loc;
-  record_hist div store addr (fun h -> History.record_write h ~ev ~nt)
+  match hist_to_record div store addr with
+  | Some h -> History.record_write h ~ev ~nt
+  | None -> ()
 
-let flush_line t line ~ev =
+let flush_line ?on_capture t line ~ev =
   let store = t.store in
   let div = writing_div t in
   let had_modified = ref false and had_pending = ref false and had_persisted = ref false in
@@ -375,7 +365,10 @@ let flush_line t line ~ev =
             d.pending_post <- a :: d.pending_post
           | _ -> ());
           put div store a ~old packed;
-          record_hist div store a (fun h -> History.record_flush h ~ev)
+          (match on_capture with Some f -> f a | None -> ());
+          match hist_to_record div store a with
+          | Some h -> History.record_flush h ~ev
+          | None -> ()
         end);
     `Had_modified
   end
@@ -389,7 +382,9 @@ let promote_byte div store addr ~ev =
   if Pages.has old Pages.bit_pending then begin
     if Pages.state_of old = st_writeback then begin
       Obs.Counter.incr c_to_persisted;
-      record_hist div store addr (fun h -> History.record_fence h ~ev)
+      match hist_to_record div store addr with
+      | Some h -> History.record_fence h ~ev
+      | None -> ()
     end;
     let pst' = Pstate.on_fence (decode_pstate (Pages.state_of old)) in
     let packed = Pages.with_state old (encode_pstate pst') land lnot Pages.bit_pending in
@@ -411,28 +406,31 @@ let fence t ~ev =
     d.pending_post <- [];
     List.iter (fun a -> promote_byte (Some d) store a ~ev) mine
 
+(* Collect before mutating: [iter_tracked] must not observe its own
+   writes. *)
+let outstanding t =
+  let acc = ref [] in
+  Pages.iter_tracked t.store.pages (fun a packed ->
+      let s = Pages.state_of packed in
+      if s = st_modified || s = st_writeback then acc := a :: !acc);
+  List.rev !acc
+
 let gpf t ~ev =
   let store = t.store in
   match writing_div t with
   | None ->
     (* The global persistent flush barrier persists every outstanding byte
-       at once.  Collect targets first, then mutate — [iter_tracked] must
-       not observe its own writes. *)
-    let promote = ref [] in
-    Pages.iter_tracked store.pages (fun a packed ->
-        let s = Pages.state_of packed in
-        if s = st_modified || s = st_writeback then promote := a :: !promote);
+       at once. *)
     List.iter
       (fun a ->
         let old = Pages.get store.pages a in
-        let s = Pages.state_of old in
-        if s = st_modified || s = st_writeback then begin
-          Obs.Counter.incr c_to_persisted;
-          let packed = Pages.with_state old st_persisted land lnot Pages.bit_pending in
-          put None store a ~old packed;
-          record_hist None store a (fun h -> History.record_fence h ~ev)
-        end)
-      !promote
+        Obs.Counter.incr c_to_persisted;
+        let packed = Pages.with_state old st_persisted land lnot Pages.bit_pending in
+        put None store a ~old packed;
+        match hist_to_record None store a with
+        | Some h -> History.record_fence h ~ev
+        | None -> ())
+      (outstanding t)
   | Some d ->
     (* A post-failure GPF may only promote what the post-failure run made
        pending itself: data the crash dropped stays dropped.  (Post-written
@@ -449,12 +447,9 @@ let mark_alloc_raw t addr size ~ev =
       Obs.Counter.incr c_to_unmodified;
       let packed = st_unmodified lor Pages.bit_tracked lor bit_uninit in
       put div store a ~old packed;
-      record_hist div store a (fun h -> History.record_alloc h ~ev))
-
-let tracked_bytes t =
-  match t.div with
-  | None -> Pages.tracked_bytes t.store.pages
-  | Some d -> if is_active t.store d then d.n else 0
+      match hist_to_record div store a with
+      | Some h -> History.record_alloc h ~ev
+      | None -> ())
 
 let iter_tracked t f =
   Pages.iter_tracked t.store.pages (fun addr _packed ->

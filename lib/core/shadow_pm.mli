@@ -9,7 +9,8 @@
     State lives in flat {!Xfd_mem.Shadow_pages} (one packed byte per
     tracked PM byte plus per-page pending bitmaps), not in a hash map, so
     replay is cache-friendly and the fence hot loop touches only pending
-    bytes.
+    bytes.  The static lint's tracker ([Xfd_lint.Track]) drives a base
+    shadow with the same calls, so both analyses run one page machine.
 
     [overlay] creates the store's single rewindable divergence: the
     backend advances one canonical pre-failure shadow event-by-event and
@@ -86,8 +87,10 @@ val write_byte :
     (useful flush), [`Clean] (line never tracked — e.g. the tail line of a
     range persist; not a bug), or the waste category: flushing a line whose
     bytes are all pending ([Double_flush]) or already persisted
-    ([Unnecessary_flush]). *)
+    ([Unnecessary_flush]).  [on_capture a] is called for each byte [a] the
+    flush captured. *)
 val flush_line :
+  ?on_capture:(Xfd_mem.Addr.t -> unit) ->
   t ->
   Xfd_mem.Addr.t ->
   ev:int ->
@@ -109,10 +112,13 @@ val gpf : t -> ev:int -> unit
     unmodified/uninitialised regardless of their history. *)
 val mark_alloc_raw : t -> Xfd_mem.Addr.t -> int -> ev:int -> unit
 
-(** Number of tracked bytes in this layer: all touched bytes for a base
-    handle, the journal's byte count for a live overlay (0 once
-    rewound). *)
-val tracked_bytes : t -> int
+(** Allocation-free persistence state of one byte through this handle's
+    view, as {!find} would report it; [Unmodified] when untracked. *)
+val pstate : t -> Xfd_mem.Addr.t -> Pstate.t
+
+(** Every modified or writeback-pending byte, in increasing address order,
+    read from the store in place (a live divergence's writes included). *)
+val outstanding : t -> Xfd_mem.Addr.t list
 
 (** [iter_tracked t f] calls [f addr cell] for every tracked byte in
     increasing address order, through this handle's view. *)

@@ -11,40 +11,46 @@ let leq a b =
 
 let equal (a : t) b = a = b
 
-let on_write _ = Dirty
-let on_nt_write _ = Pending
-let on_flush = function Dirty -> Pending | s -> s
-let on_fence = function Pending -> Persisted | s -> s
+(* The lattice's middle is the concrete FSM's image: [Bot] stands for a
+   never-written byte, which the concrete machine calls [Unmodified]. *)
+module P = Xfd.Pstate
 
-(* Domain-parametric transfers (DESIGN.md decision 18).  [Adr] is exactly
-   the functions above; the other models move the persistence boundary:
-   under eADR the cache is persistent so a store is durable immediately,
-   under CXL-GPF a flush crosses the device-persistence boundary and is
-   durable on arrival (the device drains its buffers on power failure), so
-   [Pending] is unreachable and fences order without persisting. *)
+let of_pstate = function
+  | P.Unmodified -> Bot
+  | P.Modified -> Dirty
+  | P.Writeback_pending -> Pending
+  | P.Persisted -> Persisted
 
-module D = Xfd_trace.Domain_model
+(* [lift f] is the concrete transfer [f] on the flat lattice.  [Top] stands
+   for any concrete state, so it goes to [f]'s single image when [f] is
+   constant (a store) and stays [Top] otherwise.  Joining the images
+   instead would send a CXL-GPF flush or GPF of [Top] to [Persisted],
+   although [Bot] (an unwritten byte) stays [Bot] under both. *)
+let lift f =
+  let image = List.map f P.[ Unmodified; Modified; Writeback_pending; Persisted ] in
+  let top =
+    match image with
+    | s :: rest when List.for_all (P.equal s) rest -> of_pstate s
+    | _ -> Top
+  in
+  function
+  | Bot -> of_pstate (f P.Unmodified)
+  | Dirty -> of_pstate (f P.Modified)
+  | Pending -> of_pstate (f P.Writeback_pending)
+  | Persisted -> of_pstate (f P.Persisted)
+  | Top -> top
 
-let on_write_in = function
-  | D.Adr | D.Cxl_gpf -> on_write
-  | D.Eadr -> fun _ -> Persisted
-
-let on_nt_write_in = function
-  | D.Adr -> on_nt_write
-  | D.Eadr | D.Cxl_gpf -> fun _ -> Persisted
-
-let on_flush_in = function
-  | D.Adr -> on_flush
-  | D.Eadr -> fun s -> s
-  | D.Cxl_gpf -> ( function Dirty | Pending -> Persisted | s -> s)
-
-let on_fence_in = function
-  | D.Adr -> on_fence
-  | D.Eadr | D.Cxl_gpf -> fun s -> s
-
-let on_gpf_in = function
-  | D.Cxl_gpf -> ( function Dirty | Pending -> Persisted | s -> s)
-  | D.Adr | D.Eadr -> fun s -> s
+(* One table, lifted (DESIGN.md decision 18): the transfers are
+   {!Xfd.Pstate}'s. *)
+let on_write_in m = lift (P.on_write_in m)
+let on_nt_write_in m = lift (P.on_nt_write_in m)
+let on_flush_in m = lift (P.on_flush_in m)
+let on_fence_in m = lift (P.on_fence_in m)
+let on_gpf_in m = lift (P.on_gpf_in m)
+let on_write = on_write_in Xfd_trace.Domain_model.Adr
+let on_nt_write = on_nt_write_in Xfd_trace.Domain_model.Adr
+let on_flush = on_flush_in Xfd_trace.Domain_model.Adr
+let on_fence = on_fence_in Xfd_trace.Domain_model.Adr
 
 let to_string = function
   | Bot -> "unwritten"

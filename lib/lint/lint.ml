@@ -116,8 +116,6 @@ type group = {
   mutable n : int;
 }
 
-let not_durable (s : Abs.t) = match s with Abs.Dirty | Abs.Pending -> true | _ -> false
-
 let check_trace ?(domain = D.Adr) trace =
   Obs.Counter.incr c_runs;
   let findings = ref [] in
@@ -178,18 +176,17 @@ let check_trace ?(domain = D.Adr) trace =
     xadd_writers := []
   in
   let cvars : (Addr.t, cvar) Hashtbl.t = Hashtbl.create 8 in
-  (* First associated-range byte that is not yet fenced-persistent. *)
-  let unpersisted_range_byte v =
-    let found = ref None in
+  (* First byte of [ranges] that is not yet fenced-persistent, with what
+     the tracker knows about it. *)
+  let first_outstanding ranges =
+    let found = ref (-1) in
     List.iter
       (fun (ra, rs) ->
         Addr.iter_bytes ra rs (fun a ->
-            if Option.is_none !found then
-              match Track.info track a with
-              | Some i when not_durable i.Track.state -> found := Some (a, i)
-              | Some _ | None -> ()))
-      v.ranges;
-    !found
+            if !found < 0 && Track.outstanding track a then found := a))
+      ranges;
+    if !found < 0 then None
+    else Option.map (fun i -> (!found, i)) (Track.info track !found)
   in
   (* Commit-protocol rules fire on stores, against the pre-store state. *)
   let on_store loc addr size =
@@ -209,14 +206,12 @@ let check_trace ?(domain = D.Adr) trace =
                (Loc.to_string cloc))
         | Some _ | None -> ());
         if Addr.overlap (v.var_addr, v.var_size) (addr, size) then begin
-          (match unpersisted_range_byte v with
+          (match first_outstanding v.ranges with
           | Some (ra, i) ->
             mk Missing_flush_before_commit_store loc ra 1 (Some !index)
               (("writer", i.Track.writer)
               ::
-              (match i.Track.flush with
-              | Some (fl, _) -> [ ("writeback", fl) ]
-              | None -> []))
+              (match i.Track.flush with Some fl -> [ ("writeback", fl) ] | None -> []))
               (Printf.sprintf
                  "commit variable is stored while data written at %s is still \
                   %s — persist the data (flush + fence) before setting the \
@@ -271,21 +266,13 @@ let check_trace ?(domain = D.Adr) trace =
       match v.last_store with
       | None -> ()
       | Some (lloc, _, _) ->
-        let bad = ref None in
-        Addr.iter_bytes v.var_addr v.var_size (fun a ->
-            if Option.is_none !bad then
-              match Track.info track a with
-              | Some i when not_durable i.Track.state -> bad := Some i
-              | Some _ | None -> ());
-        (match !bad with
+        (match first_outstanding [ (v.var_addr, v.var_size) ] with
         | None -> ()
-        | Some i ->
+        | Some (_, i) ->
           Addr.iter_bytes v.var_addr v.var_size (fun a ->
               Hashtbl.replace suppressed a ());
           mk Commit_var_never_persisted lloc v.var_addr v.var_size None
-            (match i.Track.flush with
-            | Some (fl, _) -> [ ("writeback", fl) ]
-            | None -> [])
+            (match i.Track.flush with Some fl -> [ ("writeback", fl) ] | None -> [])
             "the commit store is never made durable — flush the commit \
              variable and fence before the region ends, or recovery cannot \
              trust the flag"))
@@ -308,7 +295,7 @@ let check_trace ?(domain = D.Adr) trace =
         match i.Track.state with
         | Abs.Dirty -> note dirty_groups i.Track.writer [] a
         | Abs.Pending ->
-          let floc = match i.Track.flush with Some (fl, _) -> fl | None -> i.Track.writer in
+          let floc = Option.value i.Track.flush ~default:i.Track.writer in
           note pending_groups floc [ ("writer", i.Track.writer) ] a
         | Abs.Bot | Abs.Persisted | Abs.Top -> ())
     (Track.unpersisted track);

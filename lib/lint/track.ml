@@ -1,7 +1,9 @@
 module Event = Xfd_trace.Event
 module Addr = Xfd_mem.Addr
 module Loc = Xfd_util.Loc
-module Pages = Xfd_mem.Shadow_pages
+module Cold = Xfd_mem.Cold_pages
+module Shadow = Xfd.Shadow_pm
+module Pstate = Xfd.Pstate
 
 type hit =
   | Tx_unlogged_write of { loc : Loc.t; addr : Addr.t; size : int }
@@ -12,52 +14,18 @@ type hit =
     }
   | Duplicate_tx_add of { loc : Loc.t; addr : Addr.t; size : int }
 
-type info = {
-  state : Abs.t;
-  writer : Loc.t;
-  write_epoch : int;
-  flush : (Loc.t * int) option;
-}
+type info = { state : Abs.t; writer : Loc.t; flush : Loc.t option }
 
-(* Per-byte state lives in flat {!Xfd_mem.Shadow_pages}: the packed byte
-   carries the {!Abs.t} lattice point (bits 0-2) and the tracked/pending
-   flags, the pending bit set exactly when the state is [Abs.Pending] —
-   so the fence promotion walks the per-page pending bitmap instead of
-   every written byte ([Abs.on_fence] is the identity elsewhere).  Cold
-   provenance fields sit in parallel per-page arrays. *)
-let st_dirty = 1
-let st_pending = 2
-let st_persisted = 3
-let st_top = 4
-
-let encode_abs = function
-  | Abs.Bot -> 0
-  | Abs.Dirty -> st_dirty
-  | Abs.Pending -> st_pending
-  | Abs.Persisted -> st_persisted
-  | Abs.Top -> st_top
-
-let decode_abs s =
-  if s = st_dirty then Abs.Dirty
-  else if s = st_pending then Abs.Pending
-  else if s = st_persisted then Abs.Persisted
-  else if s = st_top then Abs.Top
-  else Abs.Bot
-
-let packed_of_abs s =
-  encode_abs s lor Pages.bit_tracked
-  lor (if Abs.equal s Abs.Pending then Pages.bit_pending else 0)
-
-type meta = {
-  writer : Loc.t array;
-  write_epoch : int array;
-  flush : (Loc.t * int) option array;
-}
-
+(* Persistence lives in a base {!Xfd.Shadow_pm}, driven by the same calls
+   the detector makes.  The tracker adds only what the shadow does not
+   keep: which instruction captured each writeback-pending byte (a flush,
+   or the non-temporal store itself), read back only while the byte is
+   still pending, plus the TX/RoI/skip context. *)
 type t = {
-  pages : Pages.t;
-  meta : (int, meta) Hashtbl.t;
-  mutable last_meta : (int * meta) option;
+  shadow : Shadow.t;
+  captured : Loc.t array Cold.t;
+  capture_loc : Loc.t ref; (* the flush [on_capture] is recording *)
+  on_capture : Addr.t -> unit;
   mutable epoch : int;
   mutable in_roi : bool;
   mutable skip_depth : int;
@@ -65,14 +33,16 @@ type t = {
   mutable tx_ranges : (Addr.t * int) list;
   mutable events : int;
   on_hit : hit -> unit;
-  domain : Xfd_trace.Domain_model.t;
 }
 
 let create ?(domain = Xfd_trace.Domain_model.Adr) ?(on_hit = fun _ -> ()) () =
+  let captured = Cold.create (fun n -> Array.make n Loc.unknown) in
+  let capture_loc = ref Loc.unknown in
   {
-    pages = Pages.create ();
-    meta = Hashtbl.create 16;
-    last_meta = None;
+    shadow = Shadow.create ~domain ();
+    captured;
+    capture_loc;
+    on_capture = (fun a -> (Cold.own captured a).(Cold.offset a) <- !capture_loc);
     epoch = 0;
     in_roi = false;
     skip_depth = 0;
@@ -80,45 +50,11 @@ let create ?(domain = Xfd_trace.Domain_model.Adr) ?(on_hit = fun _ -> ()) () =
     tx_ranges = [];
     events = 0;
     on_hit;
-    domain;
   }
 
-let domain t = t.domain
-
 let release t =
-  Pages.release t.pages;
-  Hashtbl.reset t.meta;
-  t.last_meta <- None
-
-let page_index addr = addr lsr 12
-let page_offset addr = addr land 4095
-
-let meta_for t addr =
-  let idx = page_index addr in
-  match t.last_meta with
-  | Some (i, m) when i = idx -> Some m
-  | _ -> (
-    match Hashtbl.find_opt t.meta idx with
-    | Some m ->
-      t.last_meta <- Some (idx, m);
-      Some m
-    | None -> None)
-
-let own_meta t addr =
-  match meta_for t addr with
-  | Some m -> m
-  | None ->
-    let m =
-      {
-        writer = Array.make Pages.page_size Loc.unknown;
-        write_epoch = Array.make Pages.page_size (-1);
-        flush = Array.make Pages.page_size None;
-      }
-    in
-    let idx = page_index addr in
-    Hashtbl.replace t.meta idx m;
-    t.last_meta <- Some (idx, m);
-    m
+  Shadow.release t.shadow;
+  Cold.reset t.captured
 
 let checking t = t.in_roi && t.skip_depth = 0
 let epoch t = t.epoch
@@ -130,68 +66,30 @@ let on_write t loc addr size ~nt =
     let covered = List.exists (fun r -> Addr.overlap r (addr, size)) t.tx_ranges in
     if not covered then t.on_hit (Tx_unlogged_write { loc; addr; size })
   end;
-  let state =
-    if nt then Abs.on_nt_write_in t.domain Abs.Bot
-    else Abs.on_write_in t.domain Abs.Bot
-  in
-  let packed = packed_of_abs state in
   Addr.iter_bytes addr size (fun a ->
-      Pages.set t.pages a packed;
-      let m = own_meta t a in
-      let off = page_offset a in
-      m.writer.(off) <- loc;
-      m.write_epoch.(off) <- t.epoch;
-      m.flush.(off) <- (if nt then Some (loc, t.epoch) else None))
+      Shadow.write_byte t.shadow a ~ts:t.epoch ~ev:t.events ~loc ~nt ~post:false);
+  if nt then begin
+    t.capture_loc := loc;
+    Addr.iter_bytes addr size t.on_capture
+  end
 
 let on_flush t loc addr =
   let line = Addr.line_of addr in
-  let dirty = ref false and pending = ref false and persisted = ref false in
-  Pages.iter_line t.pages line Addr.line_size (fun _ packed ->
-      if packed <> 0 then
-        let s = Pages.state_of packed in
-        if s = st_dirty then dirty := true
-        else if s = st_pending then pending := true
-        else if s = st_persisted then persisted := true);
-  if !dirty then
-    Addr.iter_bytes line Addr.line_size (fun a ->
-        let packed = Pages.get t.pages a in
-        if packed <> 0 && Pages.state_of packed = st_dirty then begin
-          Pages.set t.pages a (packed_of_abs (Abs.on_flush_in t.domain Abs.Dirty));
-          (own_meta t a).flush.(page_offset a) <- Some (loc, t.epoch)
-        end)
-  else if (!pending || !persisted) && checking t then
-    t.on_hit
-      (Redundant_flush
-         { loc; line; already = (if !pending then `Pending else `Persisted) })
-
-let on_fence t =
-  (* [Abs.on_fence] only moves [Pending] (tracked in the pending bitmap);
-     every other byte is a fixpoint, so the old whole-table sweep reduces
-     to the pending bytes.  Only ADR fences persist; under eADR/CXL-GPF
-     [Pending] is unreachable anyway and a fence is ordering-only.  The
-     epoch ticks in every model — fences still order program points. *)
-  (if Abs.equal (Abs.on_fence_in t.domain Abs.Pending) Abs.Persisted then
-     List.iter
-       (fun a -> Pages.set t.pages a (packed_of_abs Abs.Persisted))
-       (Pages.pending_addrs t.pages));
-  t.epoch <- t.epoch + 1
-
-let on_gpf t loc =
-  (* The global persistent flush barrier: under CXL-GPF every outstanding
-     byte becomes persistent at once and the barrier is an ordering point;
-     under ADR/eADR the event is inert (the platform has no GPF). *)
-  if Abs.equal (Abs.on_gpf_in t.domain Abs.Dirty) Abs.Persisted then begin
-    let promote = ref [] in
-    Pages.iter_tracked t.pages (fun a packed ->
-        let s = Pages.state_of packed in
-        if s = st_dirty || s = st_pending then promote := a :: !promote);
-    List.iter
-      (fun a ->
-        Pages.set t.pages a (packed_of_abs Abs.Persisted);
-        (own_meta t a).flush.(page_offset a) <- Some (loc, t.epoch))
-      !promote;
-    t.epoch <- t.epoch + 1
-  end
+  t.capture_loc := loc;
+  match Shadow.flush_line ~on_capture:t.on_capture t.shadow line ~ev:t.events with
+  | `Had_modified | `Clean -> ()
+  | `Waste w ->
+    if checking t then
+      t.on_hit
+        (Redundant_flush
+           {
+             loc;
+             line;
+             already =
+               (match w with
+               | Pstate.Double_flush -> `Pending
+               | Pstate.Unnecessary_flush -> `Persisted);
+           })
 
 let feed t ev =
   t.events <- t.events + 1;
@@ -201,8 +99,20 @@ let feed t ev =
   | Event.Nt_write { addr; size } -> on_write t loc addr size ~nt:true
   | Event.Clwb { addr } | Event.Clflush { addr } | Event.Clflushopt { addr } ->
     on_flush t loc addr
-  | Event.Sfence | Event.Mfence -> on_fence t
-  | Event.Gpf -> on_gpf t loc
+  | Event.Sfence | Event.Mfence ->
+    (* Fences order program points in every model, so the epoch always
+       ticks; only ADR has writeback-pending bytes for the fence to
+       persist. *)
+    Shadow.fence t.shadow ~ev:t.events;
+    t.epoch <- t.epoch + 1
+  | Event.Gpf ->
+    (* The global persistent flush barrier exists only under CXL-GPF;
+       elsewhere the event is inert, as in the detector. *)
+    if Xfd_trace.Domain_model.equal (Shadow.domain t.shadow) Xfd_trace.Domain_model.Cxl_gpf
+    then begin
+      Shadow.gpf t.shadow ~ev:t.events;
+      t.epoch <- t.epoch + 1
+    end
   | Event.Tx_begin ->
     t.tx_depth <- t.tx_depth + 1;
     if t.tx_depth = 1 then t.tx_ranges <- []
@@ -227,37 +137,23 @@ let feed t ev =
   | Event.Skip_detection_end -> t.skip_depth <- max 0 (t.skip_depth - 1)
   | Event.Read _ | Event.Commit_var _ | Event.Commit_range _ | Event.Marker _ -> ()
 
-let info_of t a packed : info =
-  let m = meta_for t a in
-  let off = page_offset a in
-  {
-    state = decode_abs (Pages.state_of packed);
-    writer = (match m with Some m -> m.writer.(off) | None -> Loc.unknown);
-    write_epoch = (match m with Some m -> m.write_epoch.(off) | None -> -1);
-    flush = (match m with Some m -> m.flush.(off) | None -> None);
-  }
+let outstanding t a =
+  match Shadow.pstate t.shadow a with
+  | Pstate.Modified | Pstate.Writeback_pending -> true
+  | Pstate.Unmodified | Pstate.Persisted -> false
 
 let info t a =
-  let packed = Pages.get t.pages a in
-  if packed = 0 then None else Some (info_of t a packed)
-
-let byte_state t a =
-  let packed = Pages.get t.pages a in
-  if packed = 0 then Abs.Bot else decode_abs (Pages.state_of packed)
-
-let line_state t addr =
-  let line = Addr.line_of addr in
-  let acc = ref Abs.Bot in
-  Pages.iter_line t.pages line Addr.line_size (fun _ packed ->
-      if packed <> 0 then acc := Abs.join !acc (decode_abs (Pages.state_of packed)));
-  !acc
-
-let iter_tracked t f =
-  Pages.iter_tracked t.pages (fun a packed -> f a (info_of t a packed))
+  match Shadow.find t.shadow a with
+  | None -> None
+  | Some c ->
+    let flush =
+      match (c.Shadow.pstate, Cold.find t.captured a) with
+      | Pstate.Writeback_pending, Some locs -> Some locs.(Cold.offset a)
+      | _ -> None
+    in
+    Some { state = Abs.of_pstate c.Shadow.pstate; writer = c.Shadow.writer; flush }
 
 let unpersisted t =
-  let acc = ref [] in
-  Pages.iter_tracked t.pages (fun a packed ->
-      let s = Pages.state_of packed in
-      if s = st_dirty || s = st_pending then acc := (a, info_of t a packed) :: !acc);
-  !acc
+  List.fold_left
+    (fun acc a -> match info t a with Some i -> (a, i) :: acc | None -> acc)
+    [] (Shadow.outstanding t.shadow)

@@ -1,13 +1,16 @@
-(** Shared per-line bookkeeping of the static analyses.
+(** Shared per-byte bookkeeping of the static analyses.
 
-    One pass over a trace maintaining, per byte, the abstract persistence
-    state ({!Abs.t}) with the locations that produced it, plus transaction
-    and detection-framing context (RoI, skip regions, TX depth and logged
-    ranges, fence-epoch counter).  The rules that {!Xfd_baselines.Pmtest}
-    and {!Lint} have in common — unlogged writes inside a transaction,
-    redundant writebacks, duplicated TX_ADDs — fire here, through the
-    [on_hit] callback, so the baseline and the linter cannot drift apart:
-    both consume the same transitions.
+    One pass over a trace, driving a base {!Xfd.Shadow_pm} with the same
+    [write_byte]/[flush_line]/[fence]/[gpf] calls the dynamic detector
+    makes, so the lint, the PMTest baseline and the detector run one
+    persistence machine.  On top of it the tracker keeps only what the
+    shadow does not: the instruction that captured each writeback-pending
+    byte, and transaction and detection-framing context (RoI, skip
+    regions, TX depth and logged ranges, fence-epoch counter).  The rules
+    that {!Xfd_baselines.Pmtest} and {!Lint} have in common — unlogged
+    writes inside a transaction, redundant writebacks, duplicated TX_ADDs
+    — fire here, through the [on_hit] callback, so the baseline and the
+    linter cannot drift apart: both consume the same transitions.
 
     Semantics are byte-granular with line-granular flushes, exactly as the
     dynamic detector models them: a flush captures every dirty byte of its
@@ -35,27 +38,22 @@ type hit =
 type info = {
   state : Abs.t;  (** [Dirty], [Pending] or [Persisted]; never [Bot]/[Top] *)
   writer : Xfd_util.Loc.t;  (** location of the last store *)
-  write_epoch : int;  (** fence epoch of the last store *)
-  flush : (Xfd_util.Loc.t * int) option;
-      (** capturing flush (location, epoch) when pending or persisted; for
-          non-temporal stores this is the store itself *)
+  flush : Xfd_util.Loc.t option;
+      (** when [Pending], the flush that captured the byte (for a
+          non-temporal store, the store itself); [None] otherwise *)
 }
 
 type t
 
-(** [domain] selects the persistence-domain model for the transfer
-    functions (default [Adr], the paper's semantics — byte-identical to
-    the pre-parametric tracker).  Under [Eadr] stores are durable at store
-    so every flush of written data fires [Redundant_flush `Persisted];
-    under [Cxl_gpf] a flush is durable on arrival, fences are
+(** [domain] selects the persistence-domain model of the shadow (default
+    [Adr], the paper's semantics).  Under [Eadr] stores are durable at
+    store so every flush of written data fires [Redundant_flush
+    `Persisted]; under [Cxl_gpf] a flush is durable on arrival, fences are
     ordering-only, and the GPF barrier event persists every outstanding
     byte. *)
 val create : ?domain:Xfd_trace.Domain_model.t -> ?on_hit:(hit -> unit) -> unit -> t
 
-(** The persistence-domain model this tracker was created with. *)
-val domain : t -> Xfd_trace.Domain_model.t
-
-(** Return the tracker's flat shadow pages to the global
+(** Return the tracker's shadow pages to the global
     [shadow.page_bytes_live] accounting.  Idempotent; call when the
     analysis is done with the tracker. *)
 val release : t -> unit
@@ -75,19 +73,13 @@ val in_tx : t -> bool
 (** Events fed so far. *)
 val events : t -> int
 
+(** Whether the byte is [Dirty] or [Pending]; allocates nothing. *)
+val outstanding : t -> Xfd_mem.Addr.t -> bool
+
 val info : t -> Xfd_mem.Addr.t -> info option
 
-(** State of one byte; [Abs.Bot] when never written. *)
-val byte_state : t -> Xfd_mem.Addr.t -> Abs.t
-
-(** Join of the byte states over the 64-byte line containing [addr]
-    ([Abs.Bot] for an untouched line). *)
-val line_state : t -> Xfd_mem.Addr.t -> Abs.t
-
-(** Iterate over every written byte, in unspecified order. *)
-val iter_tracked : t -> (Xfd_mem.Addr.t -> info -> unit) -> unit
-
 (** Bytes whose updates never reached PM: every byte still [Dirty] or
-    [Pending], in unspecified order.  PMTest's end-of-execution rule and
-    the linter's unflushed/unfenced rules are both projections of this. *)
+    [Pending], in decreasing address order.  PMTest's end-of-execution
+    rule and the linter's unflushed/unfenced rules are both projections of
+    this. *)
 val unpersisted : t -> (Xfd_mem.Addr.t * info) list

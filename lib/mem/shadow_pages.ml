@@ -58,22 +58,17 @@ type page = {
 type t = {
   pages : (int, page) Hashtbl.t; (* page index = addr lsr page_bits *)
   mutable last : page option; (* one-slot lookup cache for locality *)
-  mutable tracked : int;
-  mutable pending : int;
   mutable released : bool;
 }
 
-let create () =
-  { pages = Hashtbl.create 16; last = None; tracked = 0; pending = 0; released = false }
+let create () = { pages = Hashtbl.create 16; last = None; released = false }
 
 let release t =
   if not t.released then begin
     t.released <- true;
     Hashtbl.iter (fun _ _ -> account_free ()) t.pages;
     Hashtbl.reset t.pages;
-    t.last <- None;
-    t.tracked <- 0;
-    t.pending <- 0
+    t.last <- None
   end
 
 let page_index addr = addr lsr page_bits
@@ -81,7 +76,7 @@ let page_offset addr = addr land (page_size - 1)
 
 let find_page t addr =
   match t.last with
-  | Some p when p.base = addr land lnot (page_size - 1) -> Some p
+  | Some p when p.base = addr land lnot (page_size - 1) -> t.last
   | _ -> (
     match Hashtbl.find_opt t.pages (page_index addr) with
     | Some _ as r ->
@@ -124,20 +119,15 @@ let set t addr packed =
     if otr <> ntr then begin
       let d = if ntr then 1 else -1 in
       p.tracked_w.(w) <- (if ntr then p.tracked_w.(w) lor bit else p.tracked_w.(w) land lnot bit);
-      p.tracked_n <- p.tracked_n + d;
-      t.tracked <- t.tracked + d
+      p.tracked_n <- p.tracked_n + d
     end;
     let ope = old land bit_pending <> 0 and npe = packed land bit_pending <> 0 in
     if ope <> npe then begin
       let d = if npe then 1 else -1 in
       p.pending_w.(w) <- (if npe then p.pending_w.(w) lor bit else p.pending_w.(w) land lnot bit);
-      p.pending_n <- p.pending_n + d;
-      t.pending <- t.pending + d
+      p.pending_n <- p.pending_n + d
     end
   end
-
-let tracked_bytes t = t.tracked
-let pending_bytes t = t.pending
 
 let sorted_pages t =
   Hashtbl.fold (fun _ p acc -> p :: acc) t.pages []
@@ -155,18 +145,27 @@ let bitmap_addrs p words =
   done;
   !out
 
+(* Only pages holding a pending byte are collected and sorted: a fence with
+   nothing to promote allocates nothing. *)
 let pending_addrs t =
-  List.concat_map
-    (fun p -> if p.pending_n = 0 then [] else bitmap_addrs p p.pending_w)
-    (sorted_pages t)
+  Hashtbl.fold (fun _ p acc -> if p.pending_n > 0 then p :: acc else acc) t.pages []
+  |> List.sort (fun a b -> Int.compare a.base b.base)
+  |> List.concat_map (fun p -> bitmap_addrs p p.pending_w)
 
 let iter_tracked t f =
   List.iter
     (fun p ->
       if p.tracked_n > 0 then
-        List.iter
-          (fun a -> f a (Bigarray.Array1.unsafe_get p.bytes (page_offset a)))
-          (bitmap_addrs p p.tracked_w))
+        for w = 0 to words_per_page - 1 do
+          let m = p.tracked_w.(w) in
+          if m <> 0 then
+            for b = 0 to (1 lsl word_bits) - 1 do
+              if m land (1 lsl b) <> 0 then begin
+                let off = (w lsl word_bits) + b in
+                f (p.base + off) (Bigarray.Array1.unsafe_get p.bytes off)
+              end
+            done
+        done)
     (sorted_pages t)
 
 let iter_line t line n f =

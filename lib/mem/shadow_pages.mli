@@ -1,19 +1,19 @@
 (** Flat bigarray-backed per-byte shadow metadata pages.
 
-    The dynamic detector and the static analyzer both keep one small record
-    per tracked PM byte.  Hash maps keyed by address made every replayed
-    event chase pointers; this store packs the hot part of that record into
-    a single byte inside 4 KiB pages (one [Bigarray] per page, allocated on
-    first touch), with per-page bitmaps so "iterate every writeback-pending
-    byte" — the fence hot loop — touches only set bits instead of the whole
-    table.
+    The shadow PM ({!Xfd.Shadow_pm}, which the dynamic detector and the
+    static lint both run) keeps one small record per tracked PM byte.  Hash
+    maps keyed by address made every replayed event chase pointers; this
+    store packs the hot part of that record into a single byte inside
+    4 KiB pages (one [Bigarray] per page, allocated on first touch), with
+    per-page bitmaps so "iterate every writeback-pending byte" — the fence
+    hot loop — touches only set bits instead of the whole table.  Cold
+    fields live beside it in {!Cold_pages}.
 
-    The packed byte is format-agnostic: bits 0–2 hold a caller-defined
-    state (the Fig. 9 persistence FSM for the detector, the [Abs] lattice
-    for the lint), and five flag bits are maintained mechanically.  A byte
-    whose packed value is 0 is untracked; callers must set {!bit_tracked}
-    on any byte they track so the value stays nonzero.  The [tracked] and
-    [pending] bits are mirrored into per-page bitmaps and global counts on
+    The packed byte's bits 0–2 hold the caller's state (the Fig. 9
+    persistence FSM), and five flag bits are maintained mechanically.  A
+    byte whose packed value is 0 is untracked; callers must set
+    {!bit_tracked} on any byte they track so the value stays nonzero.  The
+    [tracked] and [pending] bits are mirrored into per-page bitmaps on
     every {!set}.
 
     Pages are process-globally accounted, like {!Image} chunks: the
@@ -56,16 +56,14 @@ val set : t -> Addr.t -> int -> unit
 (** Store a packed byte, keeping the tracked/pending bitmaps and counts in
     sync with the byte's [bit_tracked]/[bit_pending] flags. *)
 
-val tracked_bytes : t -> int
-val pending_bytes : t -> int
-
 val pending_addrs : t -> Addr.t list
 (** Addresses whose pending bit is set, in increasing order.  Safe to
     {!set} (e.g. clear) while consuming the list. *)
 
 val iter_tracked : t -> (Addr.t -> int -> unit) -> unit
 (** [f addr packed] for every tracked byte, in increasing address order.
-    The callback must not create pages. *)
+    The callback must not create pages or change which bytes are
+    tracked; collect first, then mutate. *)
 
 val iter_line : t -> Addr.t -> int -> (Addr.t -> int -> unit) -> unit
 (** [iter_line t line n f]: [f addr packed] for each of the [n] bytes from

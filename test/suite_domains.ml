@@ -171,27 +171,60 @@ let abs_tests =
             Alcotest.(check bool) "gpf inert" true
               (Abs.equal (Abs.on_gpf_in D.Adr s) s))
           [ Abs.Bot; Abs.Dirty; Abs.Pending; Abs.Persisted; Abs.Top ]);
-    Tu.case "concrete FSM agrees with the abstract one per model" (fun () ->
+    Tu.case "transfer table matches DESIGN.md decision 18 in every model"
+      (fun () ->
+        (* Images of U M W P (concrete) and Bot Dirty Pending Persisted Top
+           (abstract), written out by hand from the decision's table rather
+           than computed by either module. *)
+        let table =
+          [
+            (D.Adr, "write", "MMMM", "DDDDD");
+            (D.Adr, "nt-write", "WWWW", "WWWWW");
+            (D.Adr, "flush", "UWWP", "BWWPT");
+            (D.Adr, "fence", "UMPP", "BDPPT");
+            (D.Adr, "gpf", "UMWP", "BDWPT");
+            (D.Eadr, "write", "PPPP", "PPPPP");
+            (D.Eadr, "nt-write", "PPPP", "PPPPP");
+            (D.Eadr, "flush", "UMWP", "BDWPT");
+            (D.Eadr, "fence", "UMWP", "BDWPT");
+            (D.Eadr, "gpf", "UMWP", "BDWPT");
+            (D.Cxl_gpf, "write", "MMMM", "DDDDD");
+            (D.Cxl_gpf, "nt-write", "PPPP", "PPPPP");
+            (D.Cxl_gpf, "flush", "UPPP", "BPPPT");
+            (D.Cxl_gpf, "fence", "UMWP", "BDWPT");
+            (D.Cxl_gpf, "gpf", "UPPP", "BPPPT");
+          ]
+        in
+        let concrete = Pstate.[ Unmodified; Modified; Writeback_pending; Persisted ] in
+        let abstract = Abs.[ Bot; Dirty; Pending; Persisted; Top ] in
+        let abs_code = function
+          | Abs.Bot -> "B"
+          | Abs.Dirty -> "D"
+          | Abs.Pending -> "W"
+          | Abs.Persisted -> "P"
+          | Abs.Top -> "T"
+        in
+        let pick name pw pnt pf pfe pg =
+          match name with
+          | "write" -> pw
+          | "nt-write" -> pnt
+          | "flush" -> pf
+          | "fence" -> pfe
+          | _ -> pg
+        in
         List.iter
-          (fun m ->
-            let open Pstate in
-            Alcotest.(check bool)
-              (D.to_string m ^ " write durable iff eadr")
-              (m = D.Eadr)
-              (equal (on_write_in m Unmodified) Persisted);
-            Alcotest.(check bool)
-              (D.to_string m ^ " nt durable outside adr")
-              (m <> D.Adr)
-              (equal (on_nt_write_in m Unmodified) Persisted);
-            Alcotest.(check bool)
-              (D.to_string m ^ " flush of modified durable iff cxl-gpf")
-              (m = D.Cxl_gpf)
-              (equal (on_flush_in m Modified) Persisted);
-            Alcotest.(check bool)
-              (D.to_string m ^ " gpf drains writeback iff cxl-gpf")
-              (m = D.Cxl_gpf)
-              (equal (on_gpf_in m Writeback_pending) Persisted))
-          D.all);
+          (fun (m, name, want_c, want_a) ->
+            let f = pick name Pstate.on_write_in Pstate.on_nt_write_in Pstate.on_flush_in
+                Pstate.on_fence_in Pstate.on_gpf_in m in
+            let g = pick name Abs.on_write_in Abs.on_nt_write_in Abs.on_flush_in
+                Abs.on_fence_in Abs.on_gpf_in m in
+            let what = D.to_string m ^ " " ^ name in
+            Alcotest.(check string) (what ^ " concrete") want_c
+              (String.concat "" (List.map (fun s -> Pstate.to_string (f s)) concrete));
+            Alcotest.(check string) (what ^ " abstract") want_a
+              (String.concat "" (List.map (fun s -> abs_code (g s)) abstract)))
+          table;
+        Alcotest.(check int) "5 transfers x 3 models" 15 (List.length table));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -541,6 +574,13 @@ let exit_tests =
         with_trace_file empty (fun file ->
             Alcotest.(check int) "clean trace exits 0" 0
               (run_exit trace_tool [ "lint"; file ])));
+    Tu.case "xfd_cli lint accepts the workload spellings run accepts" (fun () ->
+        (* The CI lint gate names workloads as [btree], [ctree], ... *)
+        List.iter
+          (fun w ->
+            Alcotest.(check int) (w ^ " exits 0") 0
+              (run_exit cli [ "lint"; "-w"; w; "--init"; "2"; "--test"; "3" ]))
+          [ "btree"; "ctree"; "rbtree"; "hashmap_tx" ]);
   ]
 
 let suite =

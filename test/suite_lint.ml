@@ -455,6 +455,124 @@ let fuzz_props =
         Lint.clean (Lint.check_prog (Xfd_fuzz.Prog.to_program q)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Byte-identity sweep.  Lint renderings (JSON and text) and PMTest
+   verdicts over the workload x patch x model matrix and over seeded
+   generated programs, folded into one digest per group.  The expected
+   digests pin the output of the analyses as they stood before the lint
+   tracker was rebuilt on the detector's shadow PM: any change to a
+   finding, its order, address, size, related writers or rendering moves
+   a digest. *)
+
+module D = Xfd_trace.Domain_model
+module Pmtest = Xfd_baselines.Pmtest
+
+let record_trace ?(faults = Faults.none) (p : Xfd.Engine.program) =
+  Faults.reset faults;
+  let dev, trace, ctx = Tu.make_ctx ~faults () in
+  p.Xfd.Engine.setup ctx;
+  (try p.Xfd.Engine.pre ctx with Xfd_sim.Ctx.Detection_complete -> ());
+  Xfd_mem.Pm_device.release dev;
+  trace
+
+let sweep_patches =
+  [
+    Faults.none;
+    Faults.make ~skip_flush:[ 1 ] ();
+    Faults.make ~skip_fence:[ 1 ] ();
+    Faults.make ~skip_tx_add:[ 1 ] ();
+    Faults.make ~dup_flush:[ 1 ] ();
+    Faults.make ~dup_tx_add:[ 1 ] ();
+  ]
+
+let workload_traces () =
+  List.concat_map
+    (fun (e : Xfd_experiments.Workload_set.entry) ->
+      List.map
+        (fun faults -> record_trace ~faults (e.make ~init:2 ~test:4))
+        sweep_patches)
+    Xfd_experiments.Workload_set.extended
+
+let generated_traces () =
+  List.concat_map
+    (fun (k, profile) ->
+      List.init 100 (fun seed ->
+          let rng = Xfd_util.Rng.create (Int64.of_int ((k * 100_000) + seed)) in
+          record_trace (Xfd_fuzz.Prog.to_program (Xfd_fuzz.Gen.generate profile rng))))
+    [ (1, Xfd_fuzz.Gen.Buggy); (2, Xfd_fuzz.Gen.Correct); (3, Xfd_fuzz.Gen.Wild) ]
+
+let lint_digest traces =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun t ->
+      List.iter
+        (fun m ->
+          let r = Lint.check_trace ~domain:m t in
+          Buffer.add_string buf (Json.to_string (Lint.report_to_json r));
+          Buffer.add_string buf (Format.asprintf "%a@." Lint.pp_report r))
+        D.all)
+    traces;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pmtest_digest traces =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun t ->
+      let r = Pmtest.check t in
+      Printf.bprintf buf "%d\n" r.Pmtest.events_checked;
+      List.iter
+        (fun v -> Buffer.add_string buf (Format.asprintf "%a@." Pmtest.pp_violation v))
+        r.Pmtest.violations)
+    traces;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Traces are recorded once and shared by the three groups. *)
+let sweep_workloads = lazy (workload_traces ())
+let sweep_generated = lazy (generated_traces ())
+
+let pinned name expected actual =
+  Alcotest.(check string) (name ^ " digest") expected (actual ())
+
+let identity_tests =
+  [
+    Tu.case "workloads x patches x models: lint renderings pinned" (fun () ->
+        pinned "workload lint" "a881cca162f32928a515de7f1d9cad54" (fun () ->
+            lint_digest (Lazy.force sweep_workloads)));
+    Tu.case "generated programs x models: lint renderings pinned" (fun () ->
+        pinned "generated lint" "4c09ec704e4815e2b9afec2df940b8c2" (fun () ->
+            lint_digest (Lazy.force sweep_generated)));
+    Tu.case "PMTest verdicts on the same traces pinned" (fun () ->
+        pinned "pmtest" "5e375bf03d263d495f1367f6eef1ec4e" (fun () ->
+            pmtest_digest (Lazy.force sweep_workloads @ Lazy.force sweep_generated)));
+    Tu.case "capture provenance is per byte, not per line" (fun () ->
+        (* Two bytes of one line, each stored and then flushed, never
+           fenced: the second flush captures only the second byte, so
+           each byte indicts the flush that captured it. *)
+        let r =
+          check
+            (mk_trace
+               [
+                 (Event.Roi_begin, l 1);
+                 (Event.Write { addr = data; size = 1 }, l 2);
+                 (Event.Clwb { addr = data }, l 3);
+                 (Event.Write { addr = data + 1; size = 1 }, l 4);
+                 (Event.Clwb { addr = data }, l 5);
+               ])
+        in
+        let unfenced =
+          List.filter
+            (fun f -> Lint.rule_id f.Lint.rule = "flush-without-ordering-fence")
+            r.Lint.findings
+        in
+        Alcotest.(check (list string))
+          "one finding per capturing flush"
+          [ Loc.to_string (l 3); Loc.to_string (l 5) ]
+          (List.map (fun f -> Loc.to_string f.Lint.loc) unfenced);
+        Alcotest.(check (list int))
+          "each names its own byte" [ data; data + 1 ]
+          (List.map (fun f -> f.Lint.addr) unfenced));
+  ]
+
 let suite =
   [
     ("lint.rules", rule_tests);
@@ -462,5 +580,6 @@ let suite =
     ("lint.json", json_tests);
     ("lint.goldens", golden_tests);
     ("lint.abs", abs_tests);
+    ("lint.identity", identity_tests);
     ("lint.fuzz-oracle", List.map QCheck_alcotest.to_alcotest fuzz_props);
   ]
